@@ -11,16 +11,13 @@ intersection form.
 from fibresum import (
     FibreSumProblem,
     GluingClass,
+    analyse,
     assemble_intersection_form,
-    betti_numbers,
     canonical_class,
     canonical_square,
     classify_form,
     divisibility,
     elliptic_surface,
-    first_homology,
-    rim_tori_group,
-    split_class_basis,
 )
 
 
@@ -37,25 +34,25 @@ print(f"  b2+ = {e2.b2_plus}, b2- = {e2.b2_minus}, K^2 = {e2.K_squared}, "
 
 print()
 print("Untwisted sum E(2)#E(2): the invariants of E(4).")
-problem = sum_of(2, 2, (0, 0))
-betti = betti_numbers(problem)
+analysis = analyse(sum_of(2, 2, (0, 0)))
+betti = analysis.betti
 print(f"  b2 = {betti.b2} (E(4) has 12*4-2 = 46), sigma = {betti.sigma}, e = {betti.e}")
-print(f"  H_1 = {first_homology(problem)}, rim tori group = {rim_tori_group(problem)}")
-cc = canonical_class(problem)
+print(f"  H_1 = {analysis.h1}, rim tori group = {analysis.rim_tori}")
+cc = canonical_class(analysis)
 print(f"  canonical class: sigma coefficient {cc.sigma_coeff}, rim coefficients {cc.r_coeffs}")
 print(f"  divisibility of K_X: {divisibility(cc).value} (E(4) has K = 2*fibre)")
-fc = classify_form(assemble_intersection_form(problem, cc), cc)
+fc = classify_form(assemble_intersection_form(analysis, cc), cc)
 print(f"  intersection form: {fc.parity} {fc.decomposition}")
 
 print()
 print("Twisting the gluing by a = (1, 0) changes the smooth structure story:")
-problem = sum_of(2, 2, (1, 0))
-cc = canonical_class(problem)
-print(f"  split-class basis: {[c.label() for c in split_class_basis(problem).classes]}")
+analysis = analyse(sum_of(2, 2, (1, 0)))
+cc = canonical_class(analysis)
+print(f"  split-class basis: {[c.label() for c in analysis.split_classes]}")
 print(f"  rim coefficients of K_X: {cc.r_coeffs} (symmetric basis: t = {cc.t_coeffs}, "
       f"eta = {cc.eta}, eta' = {cc.eta_prime})")
 print(f"  divisibility of K_X: {divisibility(cc).value} -> K_X indivisible")
-fc = classify_form(assemble_intersection_form(problem, cc), cc)
+fc = classify_form(assemble_intersection_form(analysis, cc), cc)
 print(f"  intersection form becomes {fc.parity}: {fc.decomposition}")
 print("  The sum still has the Betti numbers of E(4) but is not spin,")
 print("  so it is not even homeomorphic to E(4).")
@@ -64,7 +61,7 @@ print()
 print("Divisibility of K_X for the family glued with a = (p, 0):")
 for p in range(0, 7):
     problem = sum_of(2, 2, (p, 0))
-    cc = canonical_class(problem)
+    cc = canonical_class(analyse(problem))
     check = canonical_square(cc, problem)
     print(f"  p = {p}: divisibility {divisibility(cc).value}, "
           f"K_X^2 = {check.value} (target {check.target})")

@@ -12,14 +12,11 @@ from fibresum import (
     GluingClass,
     IntMatrix,
     ManifoldSide,
-    betti_numbers,
+    analyse,
     canonical_class,
     canonical_square,
     complement_invariants,
     embed_h2,
-    first_homology,
-    kernel_data,
-    rim_tori_group,
     scope_gate,
     validate_problem,
 )
@@ -60,21 +57,21 @@ n_side = side("N", b1=0)
 problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((0, 0, 3, -1)))
 assert validate_problem(problem) == []
 
-kd = kernel_data(problem)
-print(f"  kernel of the stacked embedding: d = {kd.d}, basis {kd.alpha_basis.vectors}")
-print(f"  gluing vector in that basis: {kd.a_adapted}")
-betti = betti_numbers(problem)
+analysis = analyse(problem)
+print(f"  kernel of the stacked embedding: d = {analysis.d}, basis {analysis.alpha_basis.vectors}")
+print(f"  gluing vector in that basis: {analysis.a_adapted}")
+betti = analysis.betti
 print(f"  betti: b1 = {betti.b1}, b2 = {betti.b2}, sigma = {betti.sigma}")
-print(f"  H_1(X) = {first_homology(problem)}, R(X) = {rim_tori_group(problem)}")
+print(f"  H_1(X) = {analysis.h1}, R(X) = {analysis.rim_tori}")
 
-cc = canonical_class(problem)
+cc = canonical_class(analysis)
 check = canonical_square(cc, problem)
 print(f"  K_X coefficients: b = {cc.b_coeff}, sigma = {cc.sigma_coeff}, r = {cc.r_coeffs}")
 print(f"  K_X^2 = {check.value}, closed formula gives {check.target}")
 
 print()
 print("Where a class of M lands in the sum (sewn dual surface B_X, push-off Sigma_X):")
-record = embed_h2(problem, ("pbar", 1, -2), "M")
+record = embed_h2(analysis, ("pbar", 1, -2), "M")
 print(f"  pairing data (perp, alpha.Sigma, alpha.B) = ('pbar', 1, -2) maps to "
       f"perp + {record.b_x}*B_X + {record.sigma}*{record.sigma_basis}")
 
@@ -87,9 +84,9 @@ print(f"  H_1 = {inv.h1}, rank H^2 = {inv.h2_rank}, "
 print()
 print("Torsion and divisible classes gate the forms module:")
 divisible = side("D", genus=2, k=3)
-gated = FibreSumProblem(M=divisible, N=side("N2"), gluing=GluingClass((0,) * 4))
+gated = analyse(FibreSumProblem(M=divisible, N=side("N2"), gluing=GluingClass((0,) * 4)))
 for reason in scope_gate(gated):
     print(f"  - {reason}")
-print("  First homology still works there:", first_homology(gated))
+print("  First homology still works there:", gated.h1)
 inv = complement_invariants(divisible)
 print(f"  and the complement picks up the meridian torsion: H_1 = {inv.h1}")

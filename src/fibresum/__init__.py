@@ -13,18 +13,12 @@ arithmetic with full internal cross-validation.
 from .abgroups import AbGroup, direct_sum, is_isomorphic, is_torsion_free, normal_form
 from .engine import (
     ComplementInvariants,
-    KernelData,
     SplitClass,
-    SplitClassBasis,
-    betti_numbers,
+    SumAnalysis,
+    analyse,
     complement_invariants,
-    first_cohomology_rank,
-    first_homology,
-    kernel_data,
     phi_action_h1,
     phi_action_h2,
-    rim_tori_group,
-    split_class_basis,
 )
 from .forms import (
     BlockForm,
@@ -79,14 +73,13 @@ __all__ = [
     "GluingClass",
     "IntBasis",
     "IntMatrix",
-    "KernelData",
     "ManifoldSide",
     "SNFDecomposition",
     "ScopeError",
     "SplitClass",
-    "SplitClassBasis",
+    "SumAnalysis",
+    "analyse",
     "assemble_intersection_form",
-    "betti_numbers",
     "canonical_class",
     "canonical_square",
     "classify_form",
@@ -96,24 +89,19 @@ __all__ = [
     "divisibility",
     "elliptic_surface",
     "embed_h2",
-    "first_cohomology_rank",
-    "first_homology",
     "ionel_parker_checks",
     "is_isomorphic",
     "is_torsion_free",
     "kernel_basis",
-    "kernel_data",
     "normal_form",
     "parse_problem",
     "phi_action_h1",
     "phi_action_h2",
     "problem_to_dict",
     "rank",
-    "rim_tori_group",
     "scope_gate",
     "side_to_dict",
     "smith_normal_form",
-    "split_class_basis",
     "validate_problem",
     "validate_side",
 ]

@@ -48,15 +48,11 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
     operation; the text renderer only reformats this dictionary, so both
     output formats carry identical numbers.
     """
-    kd = engine.kernel_data(problem)
-    betti = engine.betti_numbers(problem)
-    h1 = engine.first_homology(problem)
-    rim = engine.rim_tori_group(problem)
-    split = engine.split_class_basis(problem)
+    analysis = engine.analyse(problem)
+    betti = analysis.betti
 
     warnings: list[str] = []
-    t_effective = problem.t if problem.t is not None else (0,) * kd.d
-    if problem.t is None and kd.d > 0:
+    if problem.t is None and analysis.d > 0:
         warnings.append(T_DEFAULT_WARNING)
 
     report: dict[str, Any] = {
@@ -65,9 +61,9 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
             "N": model.side_to_dict(problem.N),
             "gluing": {"a": list(problem.gluing.a)},
             "t_supplied": None if problem.t is None else list(problem.t),
-            "t_effective": list(t_effective),
-            "alpha_basis": [list(v) for v in kd.alpha_basis.vectors],
-            "a_adapted": list(kd.a_adapted),
+            "t_effective": list(analysis.t_effective),
+            "alpha_basis": [list(v) for v in analysis.alpha_basis.vectors],
+            "a_adapted": list(analysis.a_adapted),
         },
         "betti": {
             "b0": betti.b0,
@@ -81,16 +77,16 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
             "sigma": betti.sigma,
             "d": betti.d,
         },
-        "h1": _group_dict(h1),
-        "rim_tori": _group_dict(rim),
+        "h1": _group_dict(analysis.h1),
+        "rim_tori": _group_dict(analysis.rim_tori),
         "split_classes": [
             {"B_M": c.b_m, "B_N": c.b_n, "alpha": list(c.alpha), "label": c.label()}
-            for c in split.classes
+            for c in analysis.split_classes
         ],
     }
 
-    b2_blocks = 2 * (kd.d + 1) + (problem.M.b2 - 2) + (problem.N.b2 - 2)
-    b1_kernel = engine.first_cohomology_rank(problem)
+    b2_blocks = 2 * (analysis.d + 1) + (problem.M.b2 - 2) + (problem.N.b2 - 2)
+    b1_kernel = analysis.h1_cohom_rank
     checks: dict[str, Any] = {
         "rank_bookkeeping": {
             "b2_from_blocks": b2_blocks,
@@ -101,15 +97,15 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
         }
     }
 
-    gate = forms.scope_gate(problem)
+    gate = forms.scope_gate(analysis)
     if gate:
         report["forms"] = {"skipped": gate}
         warnings.extend(f"forms skipped: {msg}" for msg in gate)
     elif not include_forms:
         report["forms"] = {"skipped": ["disabled by --no-forms"]}
     else:
-        cc = forms.canonical_class(problem)
-        bf = forms.assemble_intersection_form(problem, cc)
+        cc = forms.canonical_class(analysis)
+        bf = forms.assemble_intersection_form(analysis, cc)
         try:
             fc = forms.classify_form(bf, cc)
             form_class: dict[str, Any] = {
@@ -118,9 +114,7 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
                 "parity": fc.parity,
                 "decomposition": fc.decomposition,
             }
-        except forms.InputDataError as exc:
-            if "p_parity" not in str(exc):
-                raise
+        except forms.UnknownParityError as exc:
             form_class = {"unavailable": str(exc)}
         div = forms.divisibility(cc)
         k_sq = forms.canonical_square(cc, problem)
@@ -304,7 +298,7 @@ def _read_json_file(path: str) -> Any:
         text = handle.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError([f"{path}: not valid JSON: {exc}"]) from exc
 
 

@@ -19,35 +19,14 @@ from .intlat import IntBasis, IntMatrix
 from .model import BettiNumbers, FibreSumProblem, ManifoldSide
 
 __all__ = [
-    "KernelData",
     "ComplementInvariants",
     "SplitClass",
-    "SplitClassBasis",
-    "kernel_data",
-    "betti_numbers",
-    "first_homology",
-    "first_cohomology_rank",
-    "rim_tori_group",
-    "split_class_basis",
+    "SumAnalysis",
+    "analyse",
     "phi_action_h1",
     "phi_action_h2",
     "complement_invariants",
 ]
-
-
-@dataclass(frozen=True)
-class KernelData:
-    """The kernel of the stacked embedding map on the surface homology.
-
-    ``alpha_basis`` lives in gamma coordinates (ambient dimension 2g) and
-    is the canonical saturated basis; every t-vector and the adapted
-    gluing vector ``a_adapted`` (pairings of the gluing class with the
-    basis vectors) are expressed in its ordering.
-    """
-
-    d: int
-    alpha_basis: IntBasis
-    a_adapted: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -87,31 +66,76 @@ class SplitClass:
 
 
 @dataclass(frozen=True)
-class SplitClassBasis:
-    """Basis of the split-class group, of rank d + 1."""
+class SumAnalysis:
+    """The homology of one fibre sum, computed once by :func:`analyse`.
 
-    classes: tuple[SplitClass, ...]
+    ``alpha_basis`` is the canonical saturated basis of the kernel of the
+    stacked embedding, in gamma coordinates (ambient dimension 2g), and
+    ``d`` its length; every t-vector and the adapted gluing vector
+    ``a_adapted`` (pairings of the gluing class with the basis vectors)
+    are expressed in its ordering.  ``h1_cohom_rank`` is the rank of H^1
+    of the sum, ``rim_tori`` the rim-tori group, and ``split_classes`` a
+    basis of the rank d + 1 group of split classes.
+    """
 
-    def __len__(self) -> int:
-        return len(self.classes)
+    problem: FibreSumProblem
+    d: int
+    alpha_basis: IntBasis
+    a_adapted: tuple[int, ...]
+    betti: BettiNumbers
+    h1: AbGroup
+    h1_cohom_rank: int
+    rim_tori: AbGroup
+    split_classes: tuple[SplitClass, ...]
+
+    @property
+    def t_effective(self) -> tuple[int, ...]:
+        """The supplied t-vector, or the zero vector of length d."""
+        return self.problem.t if self.problem.t is not None else (0,) * self.d
 
 
-def kernel_data(problem: FibreSumProblem) -> KernelData:
+def analyse(problem: FibreSumProblem) -> SumAnalysis:
+    """Every homological invariant of the sum from one Smith reduction of
+    the stacked free embedding S : Z^2g -> Z^(b1(M)+b1(N)).
+
+    The kernel of S gives d and the alpha basis.  S and its transpose
+    share their Smith diagonal, so the rim-tori group, the cokernel of
+    the transpose, is Z^(2g - rank S) plus the invariant factors of S, and
+    H^1 of the sum, the kernel of the transpose, has rank
+    b1(M) + b1(N) - rank S.  H_1 needs one more reduction, of its own
+    presentation (see :func:`_first_homology`).
+    """
+    M, N, g = problem.M, problem.N, problem.genus
     stacked = model.stacked_free_embedding(problem)
-    basis = intlat.kernel_basis(stacked)
+    snf = intlat.smith_normal_form(stacked)
+    rank = snf.rank()
+    alpha_basis = snf.kernel_basis()
+    for vec in alpha_basis.vectors:
+        if any(stacked.mul_vector(vec)):
+            raise AssertionError(f"alpha basis vector {vec} is not in the kernel of the embedding")
+    d = len(alpha_basis)
     a = problem.gluing.a
-    adapted = tuple(sum(ai * vi for ai, vi in zip(a, vec)) for vec in basis.vectors)
-    return KernelData(d=len(basis), alpha_basis=basis, a_adapted=adapted)
+    a_adapted = tuple(sum(ai * vi for ai, vi in zip(a, vec)) for vec in alpha_basis.vectors)
+    return SumAnalysis(
+        problem=problem,
+        d=d,
+        alpha_basis=alpha_basis,
+        a_adapted=a_adapted,
+        betti=_betti_numbers(problem, d),
+        h1=_first_homology(problem),
+        h1_cohom_rank=M.b1 + N.b1 - rank,
+        rim_tori=AbGroup(2 * g - rank, snf.invariant_factors()),
+        split_classes=_split_classes(M.k, N.k, a_adapted),
+    )
 
 
-def betti_numbers(problem: FibreSumProblem) -> BettiNumbers:
+def _betti_numbers(problem: FibreSumProblem, d: int) -> BettiNumbers:
     """Betti numbers of the sum from the kernel dimension d.
 
     The Euler characteristic and signature are recomputed from their own
     additivity rules and cross-checked against the b-number formulas.
     """
     M, N, g = problem.M, problem.N, problem.genus
-    d = kernel_data(problem).d
     b1 = M.b1 + N.b1 - 2 * g + d
     b2 = M.b2 + N.b2 - 2 + 2 * d
     b2_plus = M.b2_plus + N.b2_plus - 1 + d
@@ -126,11 +150,7 @@ def betti_numbers(problem: FibreSumProblem) -> BettiNumbers:
     )
 
 
-def _torsion_rows(side: ManifoldSide) -> list[tuple[int, tuple[int, ...]]]:
-    return list(side.embedding_torsion)
-
-
-def first_homology(problem: FibreSumProblem) -> AbGroup:
+def _first_homology(problem: FibreSumProblem) -> AbGroup:
     """H_1 of the sum as a cokernel.
 
     Present H_1(M) + H_1(N) + Z/n (n = gcd(k_M, k_N)) by generators and
@@ -143,8 +163,8 @@ def first_homology(problem: FibreSumProblem) -> AbGroup:
     a = problem.gluing.a
     n_mn = math.gcd(M.k, N.k)
 
-    tors_m = _torsion_rows(M)
-    tors_n = _torsion_rows(N)
+    tors_m = M.embedding_torsion
+    tors_n = N.embedding_torsion
     n_gens = M.b1 + len(tors_m) + N.b1 + len(tors_n) + 1
     off_tm = M.b1
     off_fn = off_tm + len(tors_m)
@@ -188,20 +208,7 @@ def first_homology(problem: FibreSumProblem) -> AbGroup:
     return intlat.cokernel_presentation(presentation)
 
 
-def first_cohomology_rank(problem: FibreSumProblem) -> int:
-    """Rank of H^1 of the sum: the kernel of the transposed embeddings
-    added together, mapping Z^(b1(M)+b1(N)) into Z^2g."""
-    transposed = model.stacked_free_embedding(problem).transpose()
-    return transposed.cols - intlat.rank(transposed)
-
-
-def rim_tori_group(problem: FibreSumProblem) -> AbGroup:
-    """The rim-tori group: cokernel of the transposed embeddings added
-    together.  Its free rank equals d."""
-    return intlat.cokernel_presentation(model.stacked_free_embedding(problem).transpose())
-
-
-def split_class_basis(problem: FibreSumProblem) -> SplitClassBasis:
+def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[SplitClass, ...]:
     """Basis of the rank d+1 group of split classes.
 
     A class x_M*B_M + x_N*B_N + alpha splits exactly when
@@ -210,23 +217,22 @@ def split_class_basis(problem: FibreSumProblem) -> SplitClassBasis:
     S_i = <C, alpha_i>*B_N + alpha_i; for general divisibilities it is
     the canonical kernel basis of the 1 x (2+d) defining equation.
     """
-    kd = kernel_data(problem)
-    k_m, k_n = problem.M.k, problem.N.k
+    d = len(a_adapted)
     if k_m == 1 and k_n == 1:
-        classes = [SplitClass(1, -1, (0,) * kd.d)]
-        for i, ai in enumerate(kd.a_adapted):
-            unit = tuple(1 if j == i else 0 for j in range(kd.d))
+        classes = [SplitClass(1, -1, (0,) * d)]
+        for i, ai in enumerate(a_adapted):
+            unit = tuple(1 if j == i else 0 for j in range(d))
             classes.append(SplitClass(0, ai, unit))
     else:
-        defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in kd.a_adapted)]], cols=2 + kd.d)
+        defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a_adapted)]], cols=2 + d)
         classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in intlat.kernel_basis(defining).vectors]
     for c in classes:
-        value = c.b_m * k_m + c.b_n * k_n - sum(x * y for x, y in zip(kd.a_adapted, c.alpha))
+        value = c.b_m * k_m + c.b_n * k_n - sum(x * y for x, y in zip(a_adapted, c.alpha))
         if value != 0:
             raise AssertionError(f"split class {c} does not satisfy the defining equation")
-    if len(classes) != kd.d + 1:
+    if len(classes) != d + 1:
         raise AssertionError("split-class basis must have rank d + 1")
-    return SplitClassBasis(tuple(classes))
+    return tuple(classes)
 
 
 def phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:

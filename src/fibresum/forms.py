@@ -18,13 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import abgroups, engine, model
-from .engine import KernelData
+from . import abgroups
+from .engine import SumAnalysis
 from .model import FibreSumProblem
 
 __all__ = [
     "ScopeError",
     "InputDataError",
+    "UnknownParityError",
     "InternalCheckError",
     "CanonicalClass",
     "PBlock",
@@ -57,6 +58,10 @@ class ScopeError(Exception):
 
 class InputDataError(ValueError):
     """Numerically inconsistent input discovered during assembly."""
+
+
+class UnknownParityError(InputDataError):
+    """A side's p_parity is unknown, so the form cannot be classified."""
 
 
 class InternalCheckError(RuntimeError):
@@ -193,46 +198,40 @@ class EmbeddedClass:
     sigma_basis: str
 
 
-def scope_gate(problem: FibreSumProblem) -> list[str]:
+def scope_gate(analysis: SumAnalysis) -> list[str]:
     """Violations of the forms-module hypotheses; empty means in scope."""
+    problem = analysis.problem
     violations: list[str] = []
     for label, side in (("M", problem.M), ("N", problem.N)):
         if side.k != 1:
             violations.append(f"surface class of {label} is divisible (k = {side.k})")
         if side.h1_torsion:
             violations.append(f"H_1({label}) has torsion {list(side.h1_torsion)}")
-    h1 = engine.first_homology(problem)
-    if not abgroups.is_torsion_free(h1):
-        violations.append(f"H_1 of the sum has torsion: {h1}")
+    if not abgroups.is_torsion_free(analysis.h1):
+        violations.append(f"H_1 of the sum has torsion: {analysis.h1}")
     return violations
 
 
-def _require_scope(problem: FibreSumProblem) -> None:
-    violations = scope_gate(problem)
+def _require_scope(analysis: SumAnalysis) -> None:
+    violations = scope_gate(analysis)
     if violations:
         raise ScopeError(violations)
 
 
-def _effective_t(problem: FibreSumProblem, kd: KernelData) -> tuple[int, ...]:
-    if problem.t is None:
-        return (0,) * kd.d
-    if len(problem.t) != kd.d:
-        raise InputDataError(f"t must have length d = {kd.d}, got {len(problem.t)}")
-    return problem.t
-
-
-def canonical_class(problem: FibreSumProblem) -> CanonicalClass:
+def canonical_class(analysis: SumAnalysis) -> CanonicalClass:
     """All coefficients of the canonical class of the sum."""
-    _require_scope(problem)
+    _require_scope(analysis)
+    problem = analysis.problem
     M, N, g = problem.M, problem.N, problem.genus
-    kd = engine.kernel_data(problem)
-    t = _effective_t(problem, kd)
+    t = analysis.t_effective
+    if len(t) != analysis.d:
+        raise InputDataError(f"t must have length d = {analysis.d}, got {len(t)}")
 
     b = 2 * g - 2
     eta = M.K_dot_B + 1 - b * M.B_squared
     eta_prime = N.K_dot_B + 1 - b * N.B_squared
     sigma = eta + eta_prime
-    r = tuple(ti - ai * eta_prime for ti, ai in zip(t, kd.a_adapted))
+    r = tuple(ti - ai * eta_prime for ti, ai in zip(t, analysis.a_adapted))
 
     # The square of the perpendicular part of K on each side.
     kbar_m_sq = M.K_squared - 2 * b * M.K_dot_B + b * b * M.B_squared
@@ -243,7 +242,7 @@ def canonical_class(problem: FibreSumProblem) -> CanonicalClass:
         kbar_m_div=M.kbar_divisibility,
         kbar_n_sq=kbar_n_sq,
         kbar_n_div=N.kbar_divisibility,
-        s_coeffs=(0,) * kd.d,
+        s_coeffs=(0,) * analysis.d,
         r_coeffs=r,
         t_coeffs=t,
         b_coeff=b,
@@ -253,7 +252,7 @@ def canonical_class(problem: FibreSumProblem) -> CanonicalClass:
     )
     if cc.sigma_coeff != cc.eta + cc.eta_prime:
         raise InternalCheckError("sigma coefficient must equal eta + eta'")
-    for ri, ti, ai in zip(cc.r_coeffs, cc.t_coeffs, kd.a_adapted):
+    for ri, ti, ai in zip(cc.r_coeffs, cc.t_coeffs, analysis.a_adapted):
         if ri != ti - ai * cc.eta_prime:
             raise InternalCheckError("basis change between rim coefficients violated")
     return cc
@@ -284,21 +283,21 @@ def canonical_square(cc: CanonicalClass, problem: FibreSumProblem) -> KSquareChe
     return check
 
 
-def assemble_intersection_form(problem: FibreSumProblem, cc: CanonicalClass) -> BlockForm:
+def assemble_intersection_form(analysis: SumAnalysis, cc: CanonicalClass) -> BlockForm:
     """The block intersection form of the sum.
 
     The parity of each pair block is forced by the characteristic
     property of the canonical class: S_i^2 = K.S_i = r_i (mod 2).
     """
-    _require_scope(problem)
-    M, N = problem.M, problem.N
+    _require_scope(analysis)
+    M, N = analysis.problem.M, analysis.problem.N
     bf = BlockForm(
         pm_block=PBlock(rank=M.b2 - 2, signature=M.signature, parity=M.p_parity),
         pn_block=PBlock(rank=N.b2 - 2, signature=N.signature, parity=N.p_parity),
         pair_blocks=tuple(PairBlock(s_sq_parity=ri % 2) for ri in cc.r_coeffs),
         nucleus_block=NucleusBlock(b_sq=M.B_squared + N.B_squared),
     )
-    betti = engine.betti_numbers(problem)
+    betti = analysis.betti
     if bf.rank != betti.b2 or bf.signature != betti.sigma:
         raise InternalCheckError(
             f"block form totals (rank {bf.rank}, signature {bf.signature}) disagree "
@@ -316,7 +315,7 @@ def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
     """
     for block, label in ((bf.pm_block, "M"), (bf.pn_block, "N")):
         if block.parity == "unknown":
-            raise InputDataError(
+            raise UnknownParityError(
                 f"p_parity of side {label} is unknown; classification needs it"
             )
     b_sq = bf.nucleus_block.b_sq
@@ -406,7 +405,7 @@ def ionel_parker_checks(problem: FibreSumProblem, cc: CanonicalClass) -> tuple[C
 
 
 def embed_h2(
-    problem: FibreSumProblem,
+    analysis: SumAnalysis,
     cls: tuple[object, int, int],
     side: str,
 ) -> EmbeddedClass:
@@ -419,10 +418,11 @@ def embed_h2(
     dual pairing corrected by the dual square.  The N side lands on the
     other push-off, which differs by the gluing rim torus.
     """
-    _require_scope(problem)
+    _require_scope(analysis)
     if side not in ("M", "N"):
         raise ValueError(f"side must be 'M' or 'N', got {side!r}")
     perp, c_sigma, c_b = cls
+    problem = analysis.problem
     b_squared = problem.M.B_squared if side == "M" else problem.N.B_squared
     return EmbeddedClass(
         perp=perp,

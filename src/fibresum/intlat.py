@@ -219,6 +219,13 @@ class SNFDecomposition:
         """Diagonal entries greater than 1 (the torsion of the cokernel)."""
         return tuple(d for d in self.diagonal() if d > 1)
 
+    def kernel_basis(self) -> "IntBasis":
+        """Saturated basis of the kernel of the reduced matrix: the
+        canonical echelon form of the columns of ``V`` past the rank."""
+        width = self.V.cols
+        vecs = [list(self.V.column(j)) for j in range(self.rank(), width)]
+        return IntBasis(width, tuple(tuple(row) for row in _hnf_rows(vecs, width)))
+
 
 @dataclass(frozen=True)
 class IntBasis:
@@ -376,11 +383,7 @@ def kernel_basis(A: IntMatrix) -> IntBasis:
     The kernel of a map into a free group is automatically a direct
     summand; the basis returned is its canonical echelon form.
     """
-    snf = smith_normal_form(A)
-    r = snf.rank()
-    vecs = [list(snf.V.column(j)) for j in range(r, A.cols)]
-    rows = _hnf_rows(vecs, A.cols)
-    return IntBasis(A.cols, tuple(tuple(row) for row in rows))
+    return smith_normal_form(A).kernel_basis()
 
 
 def cokernel_presentation(A: IntMatrix) -> AbGroup:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from . import intlat
+from .abgroups import AbGroup
 from .intlat import IntMatrix
 
 __all__ = [
@@ -159,12 +160,6 @@ class BettiNumbers:
             raise ValueError(f"inconsistent Betti data: {self}")
 
 
-def _is_divisibility_chain(factors: Sequence[int]) -> bool:
-    if any(t < 2 for t in factors):
-        return False
-    return all(b % a == 0 for a, b in zip(factors, factors[1:]))
-
-
 def validate_side(side: ManifoldSide) -> list[str]:
     """All violated invariants of one side; empty means valid."""
     v: list[str] = []
@@ -189,7 +184,7 @@ def validate_side(side: ManifoldSide) -> list[str]:
             f"K_dot_B = B_squared (mod 2) required since K is characteristic "
             f"(got {side.K_dot_B} vs {side.B_squared})"
         )
-    if not _is_divisibility_chain(side.h1_torsion):
+    if not AbGroup(0, side.h1_torsion).is_normal_form():
         v.append(f"h1_torsion must be a divisibility chain of factors >= 2, got {list(side.h1_torsion)}")
     two_g = 2 * side.genus
     if side.embedding_free.rows != side.b1 or side.embedding_free.cols != two_g:
@@ -218,14 +213,6 @@ def stacked_free_embedding(problem: FibreSumProblem) -> IntMatrix:
     return IntMatrix.vstack([problem.M.embedding_free, problem.N.embedding_free])
 
 
-def kernel_dimension(problem: FibreSumProblem) -> int:
-    """d = 2g - rank of the stacked free embedding matrix.
-
-    Torsion rows are deliberately excluded: d is defined over the reals.
-    """
-    return 2 * problem.genus - intlat.rank(stacked_free_embedding(problem))
-
-
 def validate_problem(problem: FibreSumProblem) -> list[str]:
     """Side violations plus the cross-side invariants of the problem."""
     v = [f"M: {msg}" for msg in validate_side(problem.M)]
@@ -239,7 +226,9 @@ def validate_problem(problem: FibreSumProblem) -> list[str]:
     if v:
         return v
     if problem.t is not None:
-        d = kernel_dimension(problem)
+        # d = 2g - rank of the stacked free embedding.  Torsion rows are
+        # deliberately excluded: d is defined over the reals.
+        d = two_g - intlat.rank(stacked_free_embedding(problem))
         if len(problem.t) != d:
             v.append(f"t must have length d = {d}, got {len(problem.t)}")
     return v
@@ -391,7 +380,7 @@ def parse_problem(document: Any) -> FibreSumProblem:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DocumentError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(document, dict):
         raise DocumentError(["top level: expected an object"])

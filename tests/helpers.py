@@ -4,14 +4,20 @@ presentations of the cokernel-equivalence lemma."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import fibresum
 from fibresum import (
     AbGroup,
     FibreSumProblem,
     GluingClass,
     IntMatrix,
     ManifoldSide,
+    analyse,
     cokernel_presentation,
     elliptic_surface,
     scope_gate,
@@ -58,6 +64,21 @@ def make_side(
         embedding_torsion=tuple(embedding_torsion),
         p_parity=p_parity,
         kbar_divisibility=kbar_divisibility,
+    )
+
+
+def run_python(args) -> subprocess.CompletedProcess:
+    """Run ``python args...`` in a fresh interpreter that imports this
+    checkout's fibresum package."""
+    src = str(Path(fibresum.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=False,
     )
 
 
@@ -149,7 +170,7 @@ def random_scope_problem(
         side_n = random_valid_side(rng, "N", genus, b1_max=b1_max, entry_bound=entry_bound)
         a = tuple(rng.randint(-a_bound, a_bound) for _ in range(2 * genus))
         problem = FibreSumProblem(M=side_m, N=side_n, gluing=GluingClass(a), t=None)
-        if validate_problem(problem) or scope_gate(problem):
+        if validate_problem(problem) or scope_gate(analyse(problem)):
             continue
         if with_t and rng.random() < 0.5:
             stacked = IntMatrix.vstack([side_m.embedding_free, side_n.embedding_free])

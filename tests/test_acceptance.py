@@ -10,21 +10,25 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 
+from fibresum import intlat, model
 from fibresum import (
+    analyse,
     assemble_intersection_form,
-    betti_numbers,
     canonical_class,
     canonical_square,
     classify_form,
     divisibility,
-    first_cohomology_rank,
-    first_homology,
     ionel_parker_checks,
     is_isomorphic,
-    kernel_data,
     smith_normal_form,
 )
-from helpers import elliptic_problem, lemma_cokernels, random_matrix, random_scope_problem
+from helpers import (
+    elliptic_problem,
+    lemma_cokernels,
+    random_matrix,
+    random_problem_any,
+    random_scope_problem,
+)
 
 
 @contextmanager
@@ -55,13 +59,13 @@ def test_criterion_1_elliptic_regression():
             for n in (1, 2, 3):
                 problem = elliptic_problem(m, n, a=(0, 0), t=(0, 0))
                 s = m + n
-                betti = betti_numbers(problem)
+                betti = analyse(problem).betti
                 assert betti.b2 == 12 * s - 2
                 assert betti.b2_plus == 2 * s - 1
                 assert betti.sigma == -8 * s
                 assert betti.e == 12 * s
-                assert first_homology(problem).is_trivial()
-                cc = canonical_class(problem)
+                assert analyse(problem).h1.is_trivial()
+                cc = canonical_class(analyse(problem))
                 assert cc.r_coeffs == (0, 0)
                 assert cc.sigma_coeff == s - 2
         elapsed = time.perf_counter() - start
@@ -73,7 +77,7 @@ def test_criterion_2_twisted_family():
         for m in (2, 3, 4):
             for n in (2, 3, 4):
                 for p in range(-3, 4):
-                    cc = canonical_class(elliptic_problem(m, n, a=(p, 0)))
+                    cc = canonical_class(analyse(elliptic_problem(m, n, a=(p, 0))))
                     assert cc.r_coeffs == (-(n - 1) * p, 0)
                     assert cc.sigma_coeff == m + n - 2
                     assert cc.eta == m - 1
@@ -83,20 +87,20 @@ def test_criterion_2_twisted_family():
 def test_criterion_3_k_squared_identity():
     with criterion(3, "K^2 identity on 200 randomized problems"):
         for problem in randomized_suite():
-            check = canonical_square(canonical_class(problem), problem)
+            check = canonical_square(canonical_class(analyse(problem)), problem)
             assert check.value == check.target
 
 
 def test_criterion_4_rank_bookkeeping():
     with criterion(4, "rank bookkeeping on 200 randomized problems"):
         for problem in randomized_suite():
-            betti = betti_numbers(problem)
-            d = kernel_data(problem).d
+            betti = analyse(problem).betti
+            d = analyse(problem).d
             split_total = 2 * (d + 1) + (problem.M.b2 - 2) + (problem.N.b2 - 2)
             assert split_total == betti.b2
-            assert first_cohomology_rank(problem) == betti.b1
-            cc = canonical_class(problem)
-            bf = assemble_intersection_form(problem, cc)
+            assert analyse(problem).h1_cohom_rank == betti.b1
+            cc = canonical_class(analyse(problem))
+            bf = assemble_intersection_form(analyse(problem), cc)
             assert bf.rank == betti.b2
             assert bf.signature == betti.sigma
 
@@ -112,16 +116,16 @@ def test_criterion_5_cokernel_lemma_oracle():
 def test_criterion_6_spin_divisibility_dichotomy():
     with criterion(6, "spin/divisibility dichotomy for K3 sums"):
         twisted = elliptic_problem(2, 2, a=(1, 0))
-        cc = canonical_class(twisted)
+        cc = canonical_class(analyse(twisted))
         assert divisibility(cc).value == 1
-        fc = classify_form(assemble_intersection_form(twisted, cc), cc)
+        fc = classify_form(assemble_intersection_form(analyse(twisted), cc), cc)
         assert fc.parity == "odd"
         assert fc.decomposition == "7<+1> + 39<-1>"
 
         untwisted = elliptic_problem(2, 2, a=(0, 0))
-        cc = canonical_class(untwisted)
+        cc = canonical_class(analyse(untwisted))
         assert divisibility(cc).value == 2
-        fc = classify_form(assemble_intersection_form(untwisted, cc), cc)
+        fc = classify_form(assemble_intersection_form(analyse(untwisted), cc), cc)
         assert fc.parity == "even"
         assert fc.decomposition == "7H + 4E8(-1)"
 
@@ -149,8 +153,19 @@ def test_criterion_8_ionel_parker_cross_checks():
     with criterion(8, "Ionel-Parker cross-checks on 200 randomized problems"):
         for problem in randomized_suite():
             M, N, g = problem.M, problem.N, problem.genus
-            lines = ionel_parker_checks(problem, canonical_class(problem))
+            lines = ionel_parker_checks(problem, canonical_class(analyse(problem)))
             assert lines[0].lhs == M.K_dot_B + N.K_dot_B + 2
             assert lines[1].lhs == 2 * g - 2
             assert lines[2].lhs == 0
             assert all(line.ok for line in lines)
+
+
+def test_criterion_9_transpose_oracle():
+    with criterion(9, "rim tori and b1 against a reduction of the transpose"):
+        rng = random.Random(4242)
+        problems = randomized_suite() + tuple(random_problem_any(rng) for _ in range(100))
+        for problem in problems:
+            analysis = analyse(problem)
+            stacked = model.stacked_free_embedding(problem)
+            assert intlat.cokernel_presentation(stacked.transpose()) == analysis.rim_tori
+            assert stacked.rows - intlat.rank(stacked.transpose()) == analysis.betti.b1

@@ -3,10 +3,26 @@
 import io
 import json
 
-from fibresum import cli
+import pytest
+
+from fibresum import cli, forms, model
+from fibresum.intlat import IntBasis, SNFDecomposition
+from helpers import run_python
 
 K3_SUM = {
     "M": {"catalog": "E", "n": 2},
+    "N": {"catalog": "E", "n": 2},
+    "gluing": {"a": [0, 0]},
+}
+
+E2_UNKNOWN_PARITY = dict(model.side_to_dict(model.elliptic_surface(2)), p_parity="unknown")
+
+# Even parity on both sides with total signature -18, not divisible by 8.
+EVEN_SIGNATURE_18 = {
+    "M": {
+        "name": "P", "b1": 0, "b2_plus": 2, "b2_minus": 4, "K_squared": 10,
+        "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, "p_parity": "even",
+    },
     "N": {"catalog": "E", "n": 2},
     "gluing": {"a": [0, 0]},
 }
@@ -128,9 +144,38 @@ class TestCompute:
         assert code == 0
         assert "K_X is the zero class" in out
 
-    def test_internal_check_maps_to_exit_3(self, tmp_path, monkeypatch):
-        from fibresum import forms
+    def test_unknown_parity_leaves_class_unavailable(self, tmp_path):
+        doc = dict(K3_SUM, M=E2_UNKNOWN_PARITY)
+        code, out, _ = run(["compute", write_doc(tmp_path, doc), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["forms"]["form_class"] == {
+            "unavailable": "p_parity of side M is unknown; classification needs it"
+        }
+        assert report["forms"]["block_form"]["pm"]["parity"] == "unknown"
 
+    def test_other_input_data_error_propagates(self, tmp_path):
+        with pytest.raises(forms.InputDataError, match="divisible by 8") as info:
+            cli.build_report(model.parse_problem(EVEN_SIGNATURE_18))
+        assert not isinstance(info.value, forms.UnknownParityError)
+        code, _, err = run(["compute", write_doc(tmp_path, EVEN_SIGNATURE_18)])
+        assert code == 2
+        assert "not divisible by 8" in err
+
+    def test_alpha_basis_outside_kernel_maps_to_exit_3(self, tmp_path, monkeypatch):
+        doc = dict(K3_SUM)
+        doc["M"] = {
+            "name": "M", "b1": 1, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+            "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, "embedding_free": [[1, 0]],
+        }
+        path = write_doc(tmp_path, doc)
+        assert run(["compute", path])[0] == 0
+        monkeypatch.setattr(SNFDecomposition, "kernel_basis", lambda self: IntBasis(2, ((1, 0),)))
+        code, _, err = run(["compute", path])
+        assert code == 3
+        assert "not in the kernel" in err
+
+    def test_internal_check_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(problem, include_forms=True):
             raise forms.InternalCheckError("synthetic failure")
 
@@ -141,6 +186,20 @@ class TestCompute:
 
 
 class TestValidate:
+    def hostile(self, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        proc = run_python(["-m", "fibresum.cli", "validate", str(path)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "invalid input" in proc.stderr and "not valid JSON" in proc.stderr
+
+    def test_huge_integer_exits_2(self, tmp_path):
+        self.hostile(tmp_path, '{"M": ' + "1" * 5000 + "}")
+
+    def test_deep_nesting_exits_2(self, tmp_path):
+        self.hostile(tmp_path, "[" * 100_000)
+
     def test_valid(self, tmp_path):
         code, out, _ = run(["validate", write_doc(tmp_path, K3_SUM)])
         assert code == 0

@@ -6,22 +6,18 @@ import random
 
 import pytest
 
+from fibresum import cli, intlat, model
 from fibresum import (
     AbGroup,
     FibreSumProblem,
     GluingClass,
     IntMatrix,
-    betti_numbers,
+    analyse,
     complement_invariants,
     elliptic_surface,
-    first_cohomology_rank,
-    first_homology,
     is_isomorphic,
-    kernel_data,
     phi_action_h1,
     phi_action_h2,
-    rim_tori_group,
-    split_class_basis,
 )
 from helpers import (
     elliptic_problem,
@@ -40,7 +36,7 @@ def identity_embedding_side(name, genus, extra_b1=0):
 
 class TestKernelData:
     def test_elliptic(self):
-        kd = kernel_data(elliptic_problem(2, 3, a=(5, -1)))
+        kd = analyse(elliptic_problem(2, 3, a=(5, -1)))
         assert kd.d == 2
         assert kd.alpha_basis.vectors == ((1, 0), (0, 1))
         assert kd.a_adapted == (5, -1)
@@ -48,7 +44,7 @@ class TestKernelData:
     def test_injective_embeddings(self):
         side = identity_embedding_side("I", genus=1)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0)))
-        kd = kernel_data(problem)
+        kd = analyse(problem)
         assert kd.d == 0
         assert kd.alpha_basis.vectors == ()
 
@@ -56,7 +52,7 @@ class TestKernelData:
         m_side = make_side("M", genus=1, b1=1, embedding=IntMatrix.from_rows([[1, 0]]))
         n_side = make_side("N", genus=1, b1=1, embedding=IntMatrix.from_rows([[0, 0]]))
         problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((5, 7)))
-        kd = kernel_data(problem)
+        kd = analyse(problem)
         assert kd.d == 1
         assert kd.alpha_basis.vectors == ((0, 1),)
         assert kd.a_adapted == (7,)
@@ -64,19 +60,19 @@ class TestKernelData:
 
 class TestBettiNumbers:
     def test_twisted_k3_sum(self):
-        betti = betti_numbers(elliptic_problem(2, 2, a=(3, 1)))
+        betti = analyse(elliptic_problem(2, 2, a=(3, 1))).betti
         assert (betti.b1, betti.b2, betti.b2_plus, betti.b2_minus) == (0, 46, 7, 39)
         assert (betti.e, betti.sigma, betti.d) == (48, -32, 2)
 
     def test_e1_e1_matches_k3(self):
-        betti = betti_numbers(elliptic_problem(1, 1))
+        betti = analyse(elliptic_problem(1, 1)).betti
         assert betti.b2 == 22
         assert betti.b2_plus == 3
 
     def test_sphere_sections(self):
         side = make_side("S", genus=0, b2_plus=2, b2_minus=3)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
-        betti = betti_numbers(problem)
+        betti = analyse(problem).betti
         assert betti.b1 == 0
         assert betti.d == 0
         assert betti.b2 == side.b2 + side.b2 - 2
@@ -85,18 +81,18 @@ class TestBettiNumbers:
 class TestFirstHomology:
     def test_elliptic_simply_connected(self):
         for a in ((0, 0), (1, 0), (4, -7)):
-            group = first_homology(elliptic_problem(2, 3, a=a))
+            group = analyse(elliptic_problem(2, 3, a=a)).h1
             assert group.is_trivial()
 
     def test_divisible_surfaces_contribute_torsion(self):
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0)))
-        assert first_homology(problem) == AbGroup(0, (2,))
+        assert analyse(problem).h1 == AbGroup(0, (2,))
 
     def test_identity_embeddings_genus_two(self):
         side = identity_embedding_side("I", genus=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0, 0, 0)))
-        assert first_homology(problem) == AbGroup(4)
+        assert analyse(problem).h1 == AbGroup(4)
 
     def test_independent_of_gluing_when_coprime(self):
         rng = random.Random(41)
@@ -104,7 +100,7 @@ class TestFirstHomology:
             problem = random_problem_any(rng)
             if math.gcd(problem.M.k, problem.N.k) != 1:
                 continue
-            base = first_homology(problem)
+            base = analyse(problem).h1
             two_g = 2 * problem.genus
             for _ in range(3):
                 other = FibreSumProblem(
@@ -112,15 +108,15 @@ class TestFirstHomology:
                     N=problem.N,
                     gluing=GluingClass(tuple(rng.randint(-9, 9) for _ in range(two_g))),
                 )
-                assert is_isomorphic(first_homology(other), base)
+                assert is_isomorphic(analyse(other).h1, base)
 
     def test_gluing_matters_when_divisibilities_share_a_factor(self):
         # With both surface classes divisible by 2 the gluing pairing
         # enters mod 2: a unit entry kills the torsion summand.
         side = make_side("D", genus=1, k=2)
         glued = lambda a: FibreSumProblem(M=side, N=side, gluing=GluingClass(a))
-        assert first_homology(glued((0, 0))) == AbGroup(0, (2,))
-        assert first_homology(glued((1, 0))).is_trivial()
+        assert analyse(glued((0, 0))).h1 == AbGroup(0, (2,))
+        assert analyse(glued((1, 0))).h1.is_trivial()
 
     def test_torsion_embedding_reaches_target(self):
         # Embedding hitting the Z/4 factor of H_1(M) with index two.
@@ -132,61 +128,61 @@ class TestFirstHomology:
         )
         trivial = make_side("S", genus=1)
         problem = FibreSumProblem(M=side, N=trivial, gluing=GluingClass((0, 0)))
-        assert first_homology(problem) == AbGroup(0, (2,))
+        assert analyse(problem).h1 == AbGroup(0, (2,))
 
 
 class TestFirstCohomologyRank:
     def test_elliptic(self):
-        assert first_cohomology_rank(elliptic_problem(2, 2)) == 0
+        assert analyse(elliptic_problem(2, 2)).h1_cohom_rank == 0
 
     def test_identity_embeddings(self):
         side = identity_embedding_side("I", genus=1)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0)))
-        assert first_cohomology_rank(problem) == 2
+        assert analyse(problem).h1_cohom_rank == 2
 
     def test_genus_zero(self):
         side = make_side("S", genus=0, b1=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
-        assert first_cohomology_rank(problem) == 4
+        assert analyse(problem).h1_cohom_rank == 4
 
     def test_matches_betti_b1(self):
         rng = random.Random(4242)
         for _ in range(40):
             problem = random_problem_any(rng)
-            assert first_cohomology_rank(problem) == betti_numbers(problem).b1
+            assert analyse(problem).h1_cohom_rank == analyse(problem).betti.b1
 
 
 class TestRimToriGroup:
     def test_elliptic(self):
-        assert rim_tori_group(elliptic_problem(3, 2)) == AbGroup(2)
+        assert analyse(elliptic_problem(3, 2)).rim_tori == AbGroup(2)
 
     def test_surjective_restriction(self):
         side = identity_embedding_side("I", genus=1)
         other = make_side("O", genus=1)
         problem = FibreSumProblem(M=side, N=other, gluing=GluingClass((0, 0)))
-        assert rim_tori_group(problem).is_trivial()
+        assert analyse(problem).rim_tori.is_trivial()
 
     def test_genus_zero(self):
         side = make_side("S", genus=0)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
-        assert rim_tori_group(problem).is_trivial()
+        assert analyse(problem).rim_tori.is_trivial()
 
     def test_free_rank_is_d(self):
         rng = random.Random(55)
         for _ in range(40):
             problem = random_problem_any(rng)
-            assert rim_tori_group(problem).free_rank == kernel_data(problem).d
+            assert analyse(problem).rim_tori.free_rank == analyse(problem).d
 
 
 class TestSplitClasses:
     def test_indivisible_normal_form(self):
-        basis = split_class_basis(elliptic_problem(2, 2, a=(3, 0)))
-        flat = [(c.b_m, c.b_n, c.alpha) for c in basis.classes]
+        basis = analyse(elliptic_problem(2, 2, a=(3, 0))).split_classes
+        flat = [(c.b_m, c.b_n, c.alpha) for c in basis]
         assert flat == [(1, -1, (0, 0)), (0, 3, (1, 0)), (0, 0, (0, 1))]
 
     def test_zero_gluing(self):
-        basis = split_class_basis(elliptic_problem(2, 2, a=(0, 0)))
-        flat = [(c.b_m, c.b_n, c.alpha) for c in basis.classes]
+        basis = analyse(elliptic_problem(2, 2, a=(0, 0))).split_classes
+        flat = [(c.b_m, c.b_n, c.alpha) for c in basis]
         assert flat == [(1, -1, (0, 0)), (0, 0, (1, 0)), (0, 0, (0, 1))]
 
     def test_divisible_classes(self):
@@ -197,25 +193,66 @@ class TestSplitClasses:
             "N3", genus=1, b1=2, embedding=IntMatrix.identity(2), k=3
         )
         problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((0, 0)))
-        basis = split_class_basis(problem)
-        assert [(c.b_m, c.b_n, c.alpha) for c in basis.classes] == [(3, -2, ())]
+        basis = analyse(problem).split_classes
+        assert [(c.b_m, c.b_n, c.alpha) for c in basis] == [(3, -2, ())]
 
     def test_rank_and_defining_equation(self):
         rng = random.Random(77)
         for _ in range(40):
             problem = random_problem_any(rng)
-            kd = kernel_data(problem)
-            basis = split_class_basis(problem)
+            kd = analyse(problem)
+            basis = analyse(problem).split_classes
             assert len(basis) == kd.d + 1
-            for c in basis.classes:
+            for c in basis:
                 pairing = sum(x * y for x, y in zip(kd.a_adapted, c.alpha))
                 assert c.b_m * problem.M.k + c.b_n * problem.N.k - pairing == 0
 
     def test_labels(self):
-        basis = split_class_basis(elliptic_problem(2, 2, a=(3, 0)))
-        assert basis.classes[0].label() == "B_M - B_N"
-        assert basis.classes[1].label() == "3*B_N + alpha_1"
-        assert basis.classes[2].label() == "alpha_2"
+        basis = analyse(elliptic_problem(2, 2, a=(3, 0))).split_classes
+        assert basis[0].label() == "B_M - B_N"
+        assert basis[1].label() == "3*B_N + alpha_1"
+        assert basis[2].label() == "alpha_2"
+
+
+class TestSmithBudget:
+    """Smith reductions per call: one of the stacked embedding and one of
+    the H_1 presentation per report, one more for the split classes of
+    divisible surfaces, and one when validation checks a t-vector."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = []
+        original = intlat.smith_normal_form
+
+        def counting(A):
+            shapes.append((A.rows, A.cols))
+            return original(A)
+
+        monkeypatch.setattr(intlat, "smith_normal_form", counting)
+        return shapes
+
+    def test_in_scope_report(self, calls):
+        report = cli.build_report(elliptic_problem(2, 3, a=(1, 0)))
+        assert "block_form" in report["forms"]
+        assert len(calls) == 2
+
+    def test_gated_report(self, calls):
+        side = make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),))
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
+        assert "skipped" in cli.build_report(problem)["forms"]
+        assert len(calls) == 2
+
+    def test_gated_report_divisible_surface(self, calls):
+        side = make_side("D", genus=1, k=2)
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
+        assert "skipped" in cli.build_report(problem)["forms"]
+        assert len(calls) == 3
+
+    def test_parse_with_t(self, calls):
+        doc = {"M": {"catalog": "E", "n": 2}, "N": {"catalog": "E", "n": 3},
+               "gluing": {"a": [1, 0]}, "t": [1, 0]}
+        model.parse_problem(doc)
+        assert len(calls) == 1
 
 
 class TestPhiAction:
@@ -304,9 +341,9 @@ class TestStructuralProperties:
         rng = random.Random(60)
         for _ in range(40):
             problem = random_problem_any(rng)
-            d = kernel_data(problem).d
+            d = analyse(problem).d
             total = 2 * (d + 1) + (problem.M.b2 - 2) + (problem.N.b2 - 2)
-            assert total == betti_numbers(problem).b2
+            assert total == analyse(problem).betti.b2
 
     def test_cokernel_lemma(self):
         rng = random.Random(2024)

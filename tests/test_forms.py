@@ -12,6 +12,7 @@ from fibresum import (
     GluingClass,
     IntMatrix,
     ScopeError,
+    analyse,
     assemble_intersection_form,
     canonical_class,
     canonical_square,
@@ -38,37 +39,37 @@ def genus_two_problem():
 
 class TestScopeGate:
     def test_elliptic_in_scope(self):
-        assert scope_gate(elliptic_problem(2, 2)) == []
+        assert scope_gate(analyse(elliptic_problem(2, 2))) == []
 
     def test_divisible_class_gated(self):
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        assert any("divisible" in v for v in scope_gate(problem))
+        assert any("divisible" in v for v in scope_gate(analyse(problem)))
 
     def test_side_torsion_gated(self):
         side = make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),))
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        assert any("torsion" in v for v in scope_gate(problem))
+        assert any("torsion" in v for v in scope_gate(analyse(problem)))
 
     def test_sum_torsion_gated(self):
         # Torsion-free sides whose sum acquires Z/2 from an even embedding.
         side = make_side("M", genus=1, b1=1, embedding=IntMatrix.from_rows([[2, 0]]))
         other = make_side("N", genus=1)
         problem = FibreSumProblem(M=side, N=other, gluing=GluingClass((0, 0)))
-        assert any("sum has torsion" in v for v in scope_gate(problem))
+        assert any("sum has torsion" in v for v in scope_gate(analyse(problem)))
 
     def test_gated_operations_raise(self):
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0)))
         with pytest.raises(ScopeError):
-            canonical_class(problem)
+            canonical_class(analyse(problem))
         with pytest.raises(ScopeError):
-            embed_h2(problem, (0, 0, 1), "M")
+            embed_h2(analyse(problem), (0, 0, 1), "M")
 
 
 class TestCanonicalClass:
     def test_twisted_elliptic(self):
-        cc = canonical_class(x_mnp(2, 3, 1))
+        cc = canonical_class(analyse(x_mnp(2, 3, 1)))
         assert cc.r_coeffs == (-2, 0)
         assert cc.sigma_coeff == 3
         assert cc.b_coeff == 0
@@ -77,19 +78,19 @@ class TestCanonicalClass:
         assert cc.s_coeffs == (0, 0)
 
     def test_untwisted_torus_sum(self):
-        cc = canonical_class(elliptic_problem(3, 2, a=(0, 0), t=(0, 0)))
+        cc = canonical_class(analyse(elliptic_problem(3, 2, a=(0, 0), t=(0, 0))))
         assert cc.r_coeffs == (0, 0)
         assert cc.b_coeff == 0
 
     def test_genus_two_coefficients(self):
-        cc = canonical_class(genus_two_problem())
+        cc = canonical_class(analyse(genus_two_problem()))
         assert cc.b_coeff == 2
         assert cc.eta == 3 and cc.eta_prime == 3
         assert cc.sigma_coeff == 6
 
     def test_basis_change_identity(self):
         problem = x_mnp(4, 3, 2, t=(5, -1))
-        cc = canonical_class(problem)
+        cc = canonical_class(analyse(problem))
         assert cc.sigma_coeff == cc.eta + cc.eta_prime
         assert cc.r_coeffs == (5 - 2 * cc.eta_prime, -1)
 
@@ -97,24 +98,24 @@ class TestCanonicalClass:
 class TestCanonicalSquare:
     def test_twisted_elliptic(self):
         problem = x_mnp(2, 3, 1)
-        check = canonical_square(canonical_class(problem), problem)
+        check = canonical_square(canonical_class(analyse(problem)), problem)
         assert check.value == 0 and check.target == 0 and check.ok
 
     def test_genus_two(self):
         problem = genus_two_problem()
-        check = canonical_square(canonical_class(problem), problem)
+        check = canonical_square(canonical_class(analyse(problem)), problem)
         assert check.value == 40 and check.target == 40
 
     def test_torus_sums_add_squares(self):
         problem = elliptic_problem(3, 4, a=(0, 0))
-        check = canonical_square(canonical_class(problem), problem)
+        check = canonical_square(canonical_class(analyse(problem)), problem)
         assert check.value == problem.M.K_squared + problem.N.K_squared
 
 
 class TestBlockForm:
     def test_untwisted_k3_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        bf = assemble_intersection_form(problem, canonical_class(problem))
+        bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
         assert (bf.pm_block.rank, bf.pm_block.signature, bf.pm_block.parity) == (20, -16, "even")
         assert tuple(p.s_sq_parity for p in bf.pair_blocks) == (0, 0)
         assert bf.nucleus_block.b_sq == -4
@@ -122,28 +123,28 @@ class TestBlockForm:
 
     def test_twisted_parities(self):
         problem = elliptic_problem(2, 2, a=(1, 0))
-        bf = assemble_intersection_form(problem, canonical_class(problem))
+        bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
         assert tuple(p.s_sq_parity for p in bf.pair_blocks) == (1, 0)
 
     def test_genus_zero_has_no_pair_blocks(self):
         side = make_side("S", genus=0, b2_plus=2, b2_minus=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
-        bf = assemble_intersection_form(problem, canonical_class(problem))
+        bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
         assert bf.pair_blocks == ()
 
 
 class TestClassifyForm:
     def test_even_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        cc = canonical_class(problem)
-        fc = classify_form(assemble_intersection_form(problem, cc), cc)
+        cc = canonical_class(analyse(problem))
+        fc = classify_form(assemble_intersection_form(analyse(problem), cc), cc)
         assert fc.parity == "even"
         assert fc.decomposition == "7H + 4E8(-1)"
 
     def test_odd_sum(self):
         problem = elliptic_problem(2, 2, a=(1, 0))
-        cc = canonical_class(problem)
-        fc = classify_form(assemble_intersection_form(problem, cc), cc)
+        cc = canonical_class(analyse(problem))
+        fc = classify_form(assemble_intersection_form(analyse(problem), cc), cc)
         assert fc.parity == "odd"
         assert fc.decomposition == "7<+1> + 39<-1>"
 
@@ -166,8 +167,8 @@ class TestClassifyForm:
             N=problem.N,
             gluing=problem.gluing,
         )
-        cc = canonical_class(problem)
-        bf = assemble_intersection_form(problem, cc)
+        cc = canonical_class(analyse(problem))
+        bf = assemble_intersection_form(analyse(problem), cc)
         with pytest.raises(InputDataError, match="p_parity"):
             classify_form(bf, cc)
 
@@ -208,17 +209,17 @@ class TestClassifyForm:
 class TestDivisibility:
     def test_untwisted_k3_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        div = divisibility(canonical_class(problem))
+        div = divisibility(canonical_class(analyse(problem)))
         assert div.value == 2 and div.exact
 
     @pytest.mark.parametrize("a", [(1, 0), (3, 5), (1, 1)])
     def test_odd_gluing_indivisible(self, a):
         problem = elliptic_problem(2, 2, a=a)
-        assert divisibility(canonical_class(problem)).value == 1
+        assert divisibility(canonical_class(analyse(problem))).value == 1
 
     def test_even_gluing(self):
         problem = elliptic_problem(2, 2, a=(2, 0))
-        cc = canonical_class(problem)
+        cc = canonical_class(analyse(problem))
         assert cc.r_coeffs == (-2, 0)
         assert divisibility(cc).value == 2
 
@@ -226,13 +227,13 @@ class TestDivisibility:
         # E(1)#E(1) with trivial gluing produces the zero canonical class,
         # which is divisible by every integer: the coefficient gcd is 0.
         problem = elliptic_problem(1, 1, a=(0, 0))
-        div = divisibility(canonical_class(problem))
+        div = divisibility(canonical_class(analyse(problem)))
         assert div.value == 0 and div.exact
 
     def test_unknown_kbar_gives_bound_only(self):
         side = dataclasses.replace(elliptic_surface(2), kbar_divisibility=None)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        div = divisibility(canonical_class(problem))
+        div = divisibility(canonical_class(analyse(problem)))
         assert not div.exact
         assert div.value == 2
 
@@ -240,13 +241,13 @@ class TestDivisibility:
 class TestIonelParkerChecks:
     def test_twisted_elliptic(self):
         problem = x_mnp(2, 3, 1)
-        lines = ionel_parker_checks(problem, canonical_class(problem))
+        lines = ionel_parker_checks(problem, canonical_class(analyse(problem)))
         assert [line.lhs for line in lines] == [3, 0, 0]
         assert all(line.ok for line in lines)
 
     def test_genus_two(self):
         problem = genus_two_problem()
-        lines = ionel_parker_checks(problem, canonical_class(problem))
+        lines = ionel_parker_checks(problem, canonical_class(analyse(problem)))
         assert lines[0].lhs == lines[0].rhs == 2 + 2 + 2
         assert lines[1].lhs == 2
 
@@ -254,25 +255,25 @@ class TestIonelParkerChecks:
 class TestEmbedH2:
     def test_surface_class_maps_to_push_off(self):
         problem = elliptic_problem(2, 2)
-        record = embed_h2(problem, (0, 0, 1), "M")
+        record = embed_h2(analyse(problem), (0, 0, 1), "M")
         assert (record.b_x, record.sigma) == (0, 1)
         assert record.sigma_basis == "Sigma_X"
 
     def test_canonical_class_of_e3(self):
         problem = elliptic_problem(3, 2)
-        record = embed_h2(problem, (0, 0, 1), "M")
+        record = embed_h2(analyse(problem), (0, 0, 1), "M")
         assert (record.perp, record.b_x, record.sigma) == (0, 0, 1)
 
     def test_dual_class(self):
         problem = elliptic_problem(2, 2)
-        record = embed_h2(problem, (0, 1, -2), "N")
+        record = embed_h2(analyse(problem), (0, 1, -2), "N")
         assert (record.b_x, record.sigma) == (1, 0)
         assert record.sigma_basis == "Sigma_X_prime"
 
     def test_side_argument_checked(self):
         problem = elliptic_problem(2, 2)
         with pytest.raises(ValueError, match="side"):
-            embed_h2(problem, (0, 0, 1), "Q")
+            embed_h2(analyse(problem), (0, 0, 1), "Q")
 
 
 class TestSwapSymmetry:
@@ -283,8 +284,8 @@ class TestSwapSymmetry:
             zero_a = GluingClass((0,) * (2 * problem.genus))
             problem = FibreSumProblem(M=problem.M, N=problem.N, gluing=zero_a)
             swapped = FibreSumProblem(M=problem.N, N=problem.M, gluing=zero_a)
-            cc = canonical_class(problem)
-            cs = canonical_class(swapped)
+            cc = canonical_class(analyse(problem))
+            cs = canonical_class(analyse(swapped))
             assert (cc.eta, cc.eta_prime) == (cs.eta_prime, cs.eta)
             assert (cc.kbar_m_sq, cc.kbar_n_sq) == (cs.kbar_n_sq, cs.kbar_m_sq)
             assert cc.sigma_coeff == cs.sigma_coeff
@@ -296,8 +297,8 @@ class TestSwapSymmetry:
         swapped = FibreSumProblem(
             M=problem.N, N=problem.M, gluing=problem.gluing, t=(-4, 2)
         )
-        cc = canonical_class(problem)
-        cs = canonical_class(swapped)
+        cc = canonical_class(analyse(problem))
+        cs = canonical_class(analyse(swapped))
         assert cs.r_coeffs == tuple(-r for r in cc.r_coeffs)
         assert cs.sigma_coeff == cc.sigma_coeff
 
@@ -307,9 +308,9 @@ class TestRandomizedIdentities:
         rng = random.Random(616)
         for _ in range(60):
             problem = random_scope_problem(rng)
-            cc = canonical_class(problem)
+            cc = canonical_class(analyse(problem))
             check = canonical_square(cc, problem)
             assert check.ok
-            bf = assemble_intersection_form(problem, cc)
+            bf = assemble_intersection_form(analyse(problem), cc)
             assert bf.rank >= 2
             ionel_parker_checks(problem, cc)

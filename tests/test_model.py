@@ -146,6 +146,13 @@ class TestParseProblem:
         problem = parse_problem(json.dumps(CATALOG_DOC))
         assert problem.N == elliptic_surface(2)
 
+    @pytest.mark.parametrize(
+        "text", ['{"M": ' + "1" * 5000 + "}", "[" * 100_000], ids=["huge_int", "deep"]
+    )
+    def test_hostile_json_text_rejected(self, text):
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            parse_problem(text)
+
     def test_invariant_violation_rejected(self):
         doc = dict(CATALOG_DOC)
         doc["M"] = {
