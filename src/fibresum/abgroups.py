@@ -7,6 +7,7 @@ immutable and operations pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,45 +49,26 @@ class AbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; inputs here are tiny."""
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def normal_form(free_rank: int, factors: Sequence[int]) -> AbGroup:
     """Normalize an arbitrary list of cyclic orders into a divisibility chain.
 
-    Goes through the primary decomposition: collect prime powers, then
-    rebuild invariant factors by pairing the largest powers of each prime.
-    Factors equal to 1 are dropped; a factor of 0 contributes a Z summand.
+    Each factor is merged into the chain from its largest end with
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), which keeps the chain dividing
+    and needs no factorization.  Factors equal to 1 are dropped; a factor
+    of 0 contributes a Z summand.
     """
-    by_prime: dict[int, list[int]] = {}
     rank = free_rank
+    chain: list[int] = []
     for f in factors:
         f = abs(int(f))
         if f == 0:
             rank += 1
             continue
-        if f == 1:
-            continue
-        for p, e in _factorize(f).items():
-            by_prime.setdefault(p, []).append(e)
-    length = max((len(v) for v in by_prime.values()), default=0)
-    chain = [1] * length
-    for p, exps in by_prime.items():
-        exps.sort(reverse=True)
-        for idx, e in enumerate(exps):
-            chain[length - 1 - idx] *= p**e
-    return AbGroup(rank, tuple(c for c in chain if c > 1))
+        for i in reversed(range(len(chain))):
+            chain[i], f = math.lcm(chain[i], f), math.gcd(chain[i], f)
+        if f > 1:
+            chain.insert(0, f)
+    return AbGroup(rank, tuple(chain))
 
 
 def direct_sum(G: AbGroup, H: AbGroup) -> AbGroup:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 I/O failure, 2 parse/validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Sequence
@@ -294,10 +295,9 @@ def _emit(payload: dict[str, Any], fmt: str, stream) -> None:
 
 
 def _read_json_file(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
     except (ValueError, RecursionError) as exc:
         raise DocumentError([f"{path}: not valid JSON: {exc}"]) from exc
 
@@ -319,7 +319,7 @@ def cmd_compute(args, stdout, stderr) -> int:
     problem = model.parse_problem(document)
     t_override = _parse_t_flag(args.t)
     if t_override is not None:
-        problem = model.with_t(problem, t_override)
+        problem = dataclasses.replace(problem, t=t_override)
     report = build_report(problem, include_forms=not args.no_forms)
     _emit(report, args.format, stdout)
     return EXIT_OK
@@ -327,7 +327,7 @@ def cmd_compute(args, stdout, stderr) -> int:
 
 def cmd_validate(args, stdout, stderr) -> int:
     document = _read_json_file(args.path)
-    model.parse_problem(document)
+    engine.analyse(model.parse_problem(document))
     stdout.write("valid\n")
     return EXIT_OK
 

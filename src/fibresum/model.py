@@ -15,10 +15,9 @@ documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Sequence
 
-from . import intlat
 from .abgroups import AbGroup
 from .intlat import IntMatrix
 
@@ -214,7 +213,12 @@ def stacked_free_embedding(problem: FibreSumProblem) -> IntMatrix:
 
 
 def validate_problem(problem: FibreSumProblem) -> list[str]:
-    """Side violations plus the cross-side invariants of the problem."""
+    """Side violations plus the cross-side invariants the document states.
+
+    The length of t is not checked here: it must equal d, the rank of the
+    kernel of the stacked embedding, which :func:`engine.analyse` computes
+    and checks.
+    """
     v = [f"M: {msg}" for msg in validate_side(problem.M)]
     v += [f"N: {msg}" for msg in validate_side(problem.N)]
     if problem.M.genus != problem.N.genus:
@@ -223,14 +227,6 @@ def validate_problem(problem: FibreSumProblem) -> list[str]:
     two_g = 2 * problem.genus
     if len(problem.gluing.a) != two_g:
         v.append(f"gluing.a must have length 2g = {two_g}, got {len(problem.gluing.a)}")
-    if v:
-        return v
-    if problem.t is not None:
-        # d = 2g - rank of the stacked free embedding.  Torsion rows are
-        # deliberately excluded: d is defined over the reals.
-        d = two_g - intlat.rank(stacked_free_embedding(problem))
-        if len(problem.t) != d:
-            v.append(f"t must have length d = {d}, got {len(problem.t)}")
     return v
 
 
@@ -315,15 +311,19 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     two_g = 2 * genus
 
     free_rows = doc.get("embedding_free")
-    if free_rows is None:
-        embedding_free = IntMatrix.zeros(b1, two_g)
-    else:
+    if free_rows is not None:
         if not isinstance(free_rows, list):
             raise DocumentError([f"{where}.embedding_free: expected an array of rows"])
-        rows = [_as_int_list(r, f"{where}.embedding_free") for r in free_rows]
-        if len(rows) != b1 or any(len(r) != two_g for r in rows):
+        free_rows = [_as_int_list(r, f"{where}.embedding_free") for r in free_rows]
+        if len(free_rows) != b1 or any(len(r) != two_g for r in free_rows):
             raise DocumentError([f"{where}.embedding_free: expected {b1} rows of length {two_g}"])
-        embedding_free = IntMatrix.from_rows(rows, cols=two_g)
+    try:
+        if free_rows is None:
+            embedding_free = IntMatrix.zeros(b1, two_g)
+        else:
+            embedding_free = IntMatrix.from_rows(free_rows, cols=two_g)
+    except ValueError as exc:
+        raise DocumentError([f"{where}.embedding_free: {exc} (b1 = {b1}, genus = {genus})"]) from exc
 
     h1_torsion = tuple(_as_int_list(doc.get("h1_torsion", []), f"{where}.h1_torsion"))
 
@@ -376,7 +376,11 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
 
 
 def parse_problem(document: Any) -> FibreSumProblem:
-    """A fully validated problem from a document (dict or JSON text)."""
+    """A problem from a document (dict or JSON text), checked against
+    every rule of :func:`validate_problem`.
+
+    The length of t is checked later, by :func:`engine.analyse`.
+    """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -439,12 +443,3 @@ def problem_to_dict(problem: FibreSumProblem) -> dict[str, Any]:
     if problem.t is not None:
         doc["t"] = list(problem.t)
     return doc
-
-
-def with_t(problem: FibreSumProblem, t: Sequence[int] | None) -> FibreSumProblem:
-    """A copy of the problem with the t-vector replaced (validated)."""
-    updated = replace(problem, t=None if t is None else tuple(int(x) for x in t))
-    violations = validate_problem(updated)
-    if violations:
-        raise DocumentError(violations)
-    return updated

@@ -79,6 +79,10 @@ class TestNormalForm:
         assert normal_form(0, [4, 6]) == AbGroup(0, (2, 12))
         assert normal_form(0, [2, 2, 3]) == AbGroup(0, (2, 6))
 
+    def test_large_prime_factor(self):
+        p = 2**61 - 1
+        assert normal_form(0, [p, 6, 4, 10]) == AbGroup(0, (2, 2, 60 * p))
+
 
 class TestRendering:
     def test_examples(self):

@@ -101,6 +101,15 @@ class TestCompute:
         assert code == 2
         assert "length d" in err
 
+    def test_t_override_replaces_wrong_length_t(self, tmp_path):
+        path = write_doc(tmp_path, dict(K3_SUM, t=[1, 2, 3]))
+        code, _, err = run(["compute", path])
+        assert code == 2
+        assert err == "invalid input: t must have length d = 2, got 3\n"
+        code, out, _ = run(["compute", path, "--format", "json", "--t", "3,0"])
+        assert code == 0
+        assert json.loads(out)["problem"]["t_supplied"] == [3, 0]
+
     def test_no_forms(self, tmp_path):
         code, out, _ = run(["compute", write_doc(tmp_path, K3_SUM), "--format", "json", "--no-forms"])
         assert code == 0
@@ -186,19 +195,35 @@ class TestCompute:
 
 
 class TestValidate:
-    def hostile(self, tmp_path, text):
+    def hostile(self, tmp_path, data: bytes) -> str:
         path = tmp_path / "hostile.json"
-        path.write_text(text)
+        path.write_bytes(data)
         proc = run_python(["-m", "fibresum.cli", "validate", str(path)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "invalid input" in proc.stderr and "not valid JSON" in proc.stderr
+        assert "invalid input" in proc.stderr
+        return proc.stderr
 
     def test_huge_integer_exits_2(self, tmp_path):
-        self.hostile(tmp_path, '{"M": ' + "1" * 5000 + "}")
+        assert "not valid JSON" in self.hostile(tmp_path, b'{"M": ' + b"1" * 5000 + b"}")
 
     def test_deep_nesting_exits_2(self, tmp_path):
-        self.hostile(tmp_path, "[" * 100_000)
+        assert "not valid JSON" in self.hostile(tmp_path, b"[" * 100_000)
+
+    def test_undecodable_bytes_exit_2(self, tmp_path):
+        assert "not valid JSON" in self.hostile(tmp_path, b'{"M": "\xff"}')
+
+    @pytest.mark.parametrize("field", ["b1", "genus"])
+    def test_negative_dimension_exits_2(self, tmp_path, field):
+        side = {"name": "M", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, field: -1}
+        doc = dict(K3_SUM, M=side)
+        assert "M.embedding_free" in self.hostile(tmp_path, json.dumps(doc).encode())
+
+    def test_t_length_checked(self, tmp_path):
+        code, _, err = run(["validate", write_doc(tmp_path, dict(K3_SUM, t=[1, 2, 3]))])
+        assert code == 2
+        assert err == "invalid input: t must have length d = 2, got 3\n"
 
     def test_valid(self, tmp_path):
         code, out, _ = run(["validate", write_doc(tmp_path, K3_SUM)])

@@ -217,7 +217,7 @@ class TestSplitClasses:
 class TestSmithBudget:
     """Smith reductions per call: one of the stacked embedding and one of
     the H_1 presentation per report, one more for the split classes of
-    divisible surfaces, and one when validation checks a t-vector."""
+    divisible surfaces, and none in parsing, with or without a t-vector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -248,11 +248,17 @@ class TestSmithBudget:
         assert "skipped" in cli.build_report(problem)["forms"]
         assert len(calls) == 3
 
+    DOC_WITH_T = {"M": {"catalog": "E", "n": 2}, "N": {"catalog": "E", "n": 3},
+                  "gluing": {"a": [1, 0]}, "t": [1, 0]}
+
     def test_parse_with_t(self, calls):
-        doc = {"M": {"catalog": "E", "n": 2}, "N": {"catalog": "E", "n": 3},
-               "gluing": {"a": [1, 0]}, "t": [1, 0]}
-        model.parse_problem(doc)
-        assert len(calls) == 1
+        model.parse_problem(self.DOC_WITH_T)
+        assert len(calls) == 0
+
+    def test_report_with_t(self, calls):
+        report = cli.build_report(model.parse_problem(self.DOC_WITH_T))
+        assert report["forms"]["canonical_class"]["t_coeffs"] == [1, 0]
+        assert len(calls) == 2
 
 
 class TestPhiAction:

@@ -9,13 +9,13 @@ from fibresum import (
     FibreSumProblem,
     GluingClass,
     IntMatrix,
+    analyse,
     elliptic_surface,
     parse_problem,
     problem_to_dict,
     validate_problem,
     validate_side,
 )
-from fibresum.model import with_t
 from helpers import make_side
 
 
@@ -120,7 +120,7 @@ class TestParseProblem:
     def test_t_length(self):
         doc = dict(CATALOG_DOC, t=[1, 2, 3])
         with pytest.raises(DocumentError, match="t must have length d = 2"):
-            parse_problem(doc)
+            analyse(parse_problem(doc))
 
     def test_unknown_field_named(self):
         doc = dict(CATALOG_DOC)
@@ -195,10 +195,10 @@ class TestRoundTrip:
 class TestWithT:
     def test_override(self):
         problem = parse_problem(CATALOG_DOC)
-        updated = with_t(problem, (3, 0))
-        assert updated.t == (3, 0)
+        updated = dataclasses.replace(problem, t=(3, 0))
+        assert analyse(updated).t_effective == (3, 0)
 
     def test_override_length_checked(self):
         problem = parse_problem(CATALOG_DOC)
         with pytest.raises(DocumentError, match="length d"):
-            with_t(problem, (1, 2, 3))
+            analyse(dataclasses.replace(problem, t=(1, 2, 3)))
