@@ -100,20 +100,19 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
 
     The kernel of S gives d and the alpha basis.  S and its transpose
     share their Smith diagonal, so the rim-tori group, the cokernel of
-    the transpose, is Z^(2g - rank S) plus the invariant factors of S, and
-    H^1 of the sum, the kernel of the transpose, has rank
-    b1(M) + b1(N) - rank S.  H_1 needs one more reduction, of its own
-    presentation (see :func:`_first_homology`).
+    the transpose, is Z^d plus the invariant factors of S, and H^1 of the
+    sum, the kernel of the transpose, has the free rank of coker S.  When
+    neither side has torsion in H_1 and gcd(k_M, k_N) = 1 the meridian
+    dies and H_1 of the sum is coker S; otherwise H_1 needs one more
+    reduction, of its own presentation (see :func:`_first_homology`).
 
     A supplied t-vector must have length d; a ``model.DocumentError`` is
     raised otherwise, so every analysis has a t-vector of the right
     length.
     """
-    M, N, g = problem.M, problem.N, problem.genus
+    M, N = problem.M, problem.N
     stacked = model.stacked_free_embedding(problem)
-    snf = intlat.smith_normal_form(stacked)
-    rank = snf.rank()
-    alpha_basis = snf.kernel_basis()
+    alpha_basis, coker = intlat.kernel_and_cokernel(stacked)
     for vec in alpha_basis.vectors:
         if any(stacked.mul_vector(vec)):
             raise AssertionError(f"alpha basis vector {vec} is not in the kernel of the embedding")
@@ -122,15 +121,16 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
         raise model.DocumentError([f"t must have length d = {d}, got {len(problem.t)}"])
     a = problem.gluing.a
     a_adapted = tuple(sum(ai * vi for ai, vi in zip(a, vec)) for vec in alpha_basis.vectors)
+    meridian_dies = not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
     return SumAnalysis(
         problem=problem,
         d=d,
         alpha_basis=alpha_basis,
         a_adapted=a_adapted,
         betti=_betti_numbers(problem, d),
-        h1=_first_homology(problem),
-        h1_cohom_rank=M.b1 + N.b1 - rank,
-        rim_tori=AbGroup(2 * g - rank, snf.invariant_factors()),
+        h1=coker if meridian_dies else _first_homology(problem),
+        h1_cohom_rank=coker.free_rank,
+        rim_tori=AbGroup(d, coker.torsion),
         split_classes=_split_classes(M.k, N.k, a_adapted),
     )
 

@@ -5,9 +5,11 @@ that occurs during Smith reduction can never overflow.  All values are
 immutable and all operations are pure functions; concurrent use needs no
 coordination.
 
-The Smith reduction uses a fixed pivoting rule (smallest nonzero absolute
-value, ties broken by lowest row then lowest column index), so every result
-here is deterministic and can be tested byte for byte.
+Every Smith reduction here runs one deterministic pivot loop, so every
+result can be tested byte for byte.  Each caller tracks only the transforms
+it reads: :func:`smith_normal_form` tracks U and V, :func:`kernel_basis`
+and :func:`kernel_and_cokernel` track V alone, and :func:`rank` and
+:func:`cokernel_presentation` track neither.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "smith_normal_form",
     "rank",
     "kernel_basis",
+    "kernel_and_cokernel",
     "cokernel_presentation",
 ]
 
@@ -215,17 +218,6 @@ class SNFDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Diagonal entries greater than 1 (the torsion of the cokernel)."""
-        return tuple(d for d in self.diagonal() if d > 1)
-
-    def kernel_basis(self) -> "IntBasis":
-        """Saturated basis of the kernel of the reduced matrix: the
-        canonical echelon form of the columns of ``V`` past the rank."""
-        width = self.V.cols
-        vecs = [list(self.V.column(j)) for j in range(self.rank(), width)]
-        return IntBasis(width, tuple(tuple(row) for row in _hnf_rows(vecs, width)))
-
 
 @dataclass(frozen=True)
 class IntBasis:
@@ -252,39 +244,47 @@ class IntBasis:
 def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     """Smith normal form with unimodular transforms, ``U @ A @ V == D``.
 
-    Deterministic: the pivot is always the entry of smallest nonzero
-    absolute value, ties broken by lowest row index, then lowest column
-    index.
+    Deterministic: each pivot is the entry of smallest nonzero absolute
+    value, ties broken by lowest row index, then lowest column index.
+    While it clears its column and row, the first row (then column) that
+    keeps a nonzero remainder is swapped into the pivot position.  This
+    is the only caller that tracks U; U, D and V are what the ``snf``
+    command prints.
     """
     m, n = A.rows, A.cols
+    d, u, v = _reduce(A, track_u=True, track_v=True)
+    return SNFDecomposition(
+        U=IntMatrix.from_rows(u, cols=m),
+        D=IntMatrix.from_rows(d, cols=n),
+        V=IntMatrix.from_rows(v, cols=n),
+    )
+
+
+def _reduce(
+    A: IntMatrix, track_u: bool = False, track_v: bool = False
+) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
+    """The pivot loop behind every Smith reduction (see
+    :func:`smith_normal_form`).  Returns the rows of D and, when tracked,
+    of U and V (None otherwise), with ``U @ A @ V == D``."""
+    m, n = A.rows, A.cols
     d = A.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_v else None
 
     def swap_rows(a: int, b: int) -> None:
         d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
+        if u is not None:
+            u[a], u[b] = u[b], u[a]
 
     def swap_cols(a: int, b: int) -> None:
-        for row in d:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
+        for row in d if v is None else d + v:
             row[a], row[b] = row[b], row[a]
 
     def add_row(src: int, dst: int, q: int) -> None:
         # row[dst] += q * row[src]
         d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src: int, dst: int, q: int) -> None:
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(a: int) -> None:
-        d[a] = [-x for x in d[a]]
-        u[a] = [-x for x in u[a]]
+        if u is not None:
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     t = 0
     while True:
@@ -313,39 +313,49 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
                 # pivot, so promoting it makes progress.
                 swap_rows(t, left)
                 continue
+            # Column t is now zero off the pivot, so a column operation
+            # changes only row t of D.
+            row_t = d[t]
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
+                if row_t[j]:
+                    q = row_t[j] // row_t[t]
                     if q:
-                        add_col(t, j, -q)
-            left = next((j for j in range(t + 1, n) if d[t][j]), None)
+                        row_t[j] -= q * row_t[t]
+                        if v is not None:
+                            for row in v:
+                                row[j] -= q * row[t]
+            left = next((j for j in range(t + 1, n) if row_t[j]), None)
             if left is not None:
                 swap_cols(t, left)
                 continue
             # Row and column are clear; force the pivot to divide the rest
-            # of the submatrix so the diagonal comes out as a chain.
-            dirty = False
+            # of the submatrix so the diagonal comes out as a chain.  A unit
+            # pivot divides everything.
+            if abs(row_t[t]) == 1:
+                break
             for i in range(t + 1, m):
-                if any(d[i][j] % d[t][t] for j in range(t + 1, n)):
+                if any(d[i][j] % row_t[t] for j in range(t + 1, n)):
                     add_row(i, t, 1)
-                    dirty = True
                     break
-            if not dirty:
+            else:
                 break
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         t += 1
+    return d, u, v
 
-    return SNFDecomposition(
-        U=IntMatrix.from_rows(u, cols=m),
-        D=IntMatrix.from_rows(d, cols=n),
-        V=IntMatrix.from_rows(v, cols=n),
-    )
+
+def _cokernel(A: IntMatrix, d: list[list[int]]) -> AbGroup:
+    """``Z^rows / A(Z^cols)`` read off the rows ``d`` of A's Smith form."""
+    diagonal = [d[i][i] for i in range(min(A.rows, A.cols))]
+    return AbGroup(A.rows - sum(1 for x in diagonal if x), tuple(x for x in diagonal if x > 1))
 
 
 def rank(A: IntMatrix) -> int:
-    """Rank over the rationals: nonzero diagonal entries of the SNF."""
-    return smith_normal_form(A).rank()
+    """Rank over the rationals: nonzero diagonal entries of the Smith form."""
+    return A.rows - _cokernel(A, _reduce(A)[0]).free_rank
 
 
 def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
@@ -377,20 +387,29 @@ def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
     return rows[:r]
 
 
+def kernel_and_cokernel(A: IntMatrix) -> tuple[IntBasis, AbGroup]:
+    """The kernel basis of :func:`kernel_basis` and the cokernel of
+    :func:`cokernel_presentation`, from one reduction of A."""
+    d, _, v = _reduce(A, track_v=True)
+    cokernel = _cokernel(A, d)
+    vecs = [[row[j] for row in v] for j in range(A.rows - cokernel.free_rank, A.cols)]
+    return IntBasis(A.cols, tuple(tuple(row) for row in _hnf_rows(vecs, A.cols))), cokernel
+
+
 def kernel_basis(A: IntMatrix) -> IntBasis:
     """Saturated basis of ``{ v : A @ v = 0 }`` inside Z^cols.
 
     The kernel of a map into a free group is automatically a direct
-    summand; the basis returned is its canonical echelon form.
+    summand; the basis returned is the canonical echelon form of the
+    columns of V past the rank.
     """
-    return smith_normal_form(A).kernel_basis()
+    return kernel_and_cokernel(A)[0]
 
 
 def cokernel_presentation(A: IntMatrix) -> AbGroup:
     """Normal form of ``Z^rows / A(Z^cols)``.
 
-    Free rank is ``rows - rank(A)``; the invariant factors are the SNF
+    Free rank is ``rows - rank(A)``; the invariant factors are the Smith
     diagonal entries greater than 1.
     """
-    snf = smith_normal_form(A)
-    return AbGroup(A.rows - snf.rank(), snf.invariant_factors())
+    return _cokernel(A, _reduce(A)[0])

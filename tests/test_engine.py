@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fibresum import cli, intlat, model
+from fibresum import cli, engine, intlat, model
 from fibresum import (
     AbGroup,
     FibreSumProblem,
@@ -24,6 +24,7 @@ from helpers import (
     lemma_cokernels,
     make_side,
     random_problem_any,
+    random_scope_problem,
 )
 
 
@@ -130,6 +131,20 @@ class TestFirstHomology:
         problem = FibreSumProblem(M=side, N=trivial, gluing=GluingClass((0, 0)))
         assert analyse(problem).h1 == AbGroup(0, (2,))
 
+    def test_cokernel_shortcut_matches_presentation(self):
+        # analyse reads H_1 off coker S when both sides are torsion-free
+        # and gcd(k_M, k_N) = 1; the full presentation must agree on every
+        # draw, so a shortcut taken outside those conditions shows too.
+        rng = random.Random(2026)
+        draws = [random_scope_problem(rng, with_t=False) for _ in range(300)]
+        draws += [random_problem_any(rng) for _ in range(300)]
+        qualifying = 0
+        for problem in draws:
+            M, N = problem.M, problem.N
+            qualifying += not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
+            assert analyse(problem).h1 == engine._first_homology(problem)
+        assert qualifying >= 300
+
 
 class TestFirstCohomologyRank:
     def test_elliptic(self):
@@ -215,26 +230,28 @@ class TestSplitClasses:
 
 
 class TestSmithBudget:
-    """Smith reductions per call: one of the stacked embedding and one of
-    the H_1 presentation per report, one more for the split classes of
-    divisible surfaces, and none in parsing, with or without a t-vector."""
+    """Reductions per call, counted in the one pivot loop whichever public
+    wrapper runs it: one of the stacked embedding per report, one of the
+    H_1 presentation when a side has H_1 torsion or gcd(k_M, k_N) > 1,
+    one for the split classes of divisible surfaces, one per complement,
+    and none in parsing, with or without a t-vector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         shapes = []
-        original = intlat.smith_normal_form
+        original = intlat._reduce
 
-        def counting(A):
+        def counting(A, *args, **kwargs):
             shapes.append((A.rows, A.cols))
-            return original(A)
+            return original(A, *args, **kwargs)
 
-        monkeypatch.setattr(intlat, "smith_normal_form", counting)
+        monkeypatch.setattr(intlat, "_reduce", counting)
         return shapes
 
     def test_in_scope_report(self, calls):
         report = cli.build_report(elliptic_problem(2, 3, a=(1, 0)))
         assert "block_form" in report["forms"]
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_gated_report(self, calls):
         side = make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),))
@@ -246,7 +263,11 @@ class TestSmithBudget:
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
         assert "skipped" in cli.build_report(problem)["forms"]
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_complement_invariants(self, calls):
+        complement_invariants(make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),)))
+        assert len(calls) == 1
 
     DOC_WITH_T = {"M": {"catalog": "E", "n": 2}, "N": {"catalog": "E", "n": 3},
                   "gluing": {"a": [1, 0]}, "t": [1, 0]}
@@ -258,7 +279,7 @@ class TestSmithBudget:
     def test_report_with_t(self, calls):
         report = cli.build_report(model.parse_problem(self.DOC_WITH_T))
         assert report["forms"]["canonical_class"]["t_coeffs"] == [1, 0]
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestPhiAction:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fibresum import intlat
 from fibresum import (
     AbGroup,
     IntMatrix,
@@ -68,6 +69,64 @@ class TestSmithNormalForm:
             assert abs(snf.V.det()) == 1
             assert snf.D.is_diagonal()
             assert is_divisibility_chain(snf.diagonal())
+
+
+def oracle_matrices(count, max_dim=9):
+    """Random matrices of every shape the library meets: empty (0 x n and
+    n x 0), zero, tall, wide, rank-deficient and with torsion."""
+    rng = random.Random(20261018)
+    for i in range(count):
+        kind = i % 6
+        rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+        if kind == 0:
+            rows, cols = rng.choice([(0, cols), (rows, 0), (rows, cols)])
+            yield IntMatrix.zeros(rows, cols)
+        elif kind == 1:
+            yield random_matrix(rng, max(rows, cols), min(rows, cols), 20)
+        elif kind == 2:
+            yield random_matrix(rng, min(rows, cols), max(rows, cols), 20)
+        elif kind == 3:
+            inner = rng.randint(0, min(rows, cols))
+            yield random_matrix(rng, rows, inner, 4) @ random_matrix(rng, inner, cols, 4)
+        elif kind == 4:
+            scale = rng.choice([2, 3, 4, 6, 12])
+            yield IntMatrix(rows, cols, tuple(scale * e for e in random_matrix(rng, rows, cols, 5).entries))
+        else:
+            yield random_matrix(rng, rows, cols, rng.choice([1, 5, 10**6]))
+
+
+class TestDifferentialOracles:
+    """The transform-free and V-only reductions against
+    ``smith_normal_form`` as the reference, and sympy's invariant
+    factors as an independent oracle."""
+
+    def test_transform_free_diagonal(self):
+        for m in oracle_matrices(600):
+            reference = smith_normal_form(m)
+            assert intlat._reduce(m)[0] == reference.D.to_rows()
+            assert rank(m) == reference.rank()
+            diagonal = reference.diagonal()
+            assert cokernel_presentation(m) == AbGroup(
+                m.rows - reference.rank(), tuple(x for x in diagonal if x > 1)
+            )
+
+    def test_kernel_basis_from_reference_v(self):
+        for m in oracle_matrices(600):
+            reference = smith_normal_form(m)
+            tail = [list(reference.V.column(j)) for j in range(reference.rank(), m.cols)]
+            assert [list(v) for v in kernel_basis(m).vectors] == intlat._hnf_rows(tail, m.cols)
+
+    def test_sympy_invariant_factors(self):
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        for m in oracle_matrices(600, max_dim=8):
+            if m.rows == 0 or m.cols == 0:
+                continue
+            expected = [int(x) for x in invariant_factors(Matrix(m.to_rows())) if x]
+            assert [x for x in smith_normal_form(m).diagonal() if x] == expected
+            d = intlat._reduce(m)[0]
+            assert [d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i]] == expected
 
 
 class TestRank:
