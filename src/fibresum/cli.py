@@ -27,6 +27,10 @@ EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
+# What each failure class is caught as, in ``main`` and per ``batch`` item.
+INVALID_ERRORS = (DocumentError, forms.InputDataError)
+INTERNAL_ERRORS = (forms.InternalCheckError, AssertionError)
+
 T_DEFAULT_WARNING = (
     "t defaulted to the zero vector; this is exact only when matched bounding "
     "surfaces with equal canonical pairings exist on both sides (for example "
@@ -352,17 +356,20 @@ def cmd_batch(args, stdout, stderr) -> int:
     if not isinstance(document, list):
         raise DocumentError(["batch document: expected an array of problem documents"])
     items: list[dict[str, Any]] = []
-    failures = 0
     # Items are independent and could run in parallel; the report is
-    # assembled in input order either way.
+    # assembled in input order either way.  A failing item, even one whose
+    # internal check failed, costs only its own report.
     for index, entry in enumerate(document):
         try:
             problem = model.parse_problem(entry)
             report = build_report(problem, include_forms=not args.no_forms)
             items.append({"index": index, "status": "ok", "report": report})
-        except (DocumentError, forms.InputDataError) as exc:
-            failures += 1
+        except INVALID_ERRORS as exc:
             items.append({"index": index, "status": "error", "error": str(exc)})
+        except INTERNAL_ERRORS as exc:
+            items.append({"index": index, "status": "internal", "error": str(exc)})
+    statuses = {item["status"] for item in items}
+    failures = sum(1 for item in items if item["status"] != "ok")
     payload = {"items": items, "count": len(items), "failures": failures}
     if args.format == "text":
         for item in items:
@@ -374,7 +381,9 @@ def cmd_batch(args, stdout, stderr) -> int:
         stdout.write(f"--- {len(items)} problem(s), {failures} failure(s)\n")
     else:
         stdout.write(dump_structured(payload))
-    return EXIT_OK if failures == 0 else EXIT_INVALID
+    if "internal" in statuses:
+        return EXIT_INTERNAL
+    return EXIT_INVALID if "error" in statuses else EXIT_OK
 
 
 def cmd_snf(args, stdout, stderr) -> int:
@@ -467,10 +476,10 @@ def main(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except (DocumentError, forms.InputDataError) as exc:
+    except INVALID_ERRORS as exc:
         stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    except (forms.InternalCheckError, AssertionError) as exc:
+    except INTERNAL_ERRORS as exc:
         stderr.write(f"internal check failed: {exc}\n")
         return EXIT_INTERNAL
 

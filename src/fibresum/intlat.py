@@ -6,16 +6,21 @@ immutable and all operations are pure functions; concurrent use needs no
 coordination.
 
 Every Smith reduction here runs one deterministic pivot loop, so every
-result can be tested byte for byte.  Each caller tracks only the transforms
-it reads: :func:`smith_normal_form` tracks U and V, :func:`kernel_basis`
-and :func:`kernel_and_cokernel` track V alone, and :func:`rank` and
-:func:`cokernel_presentation` track neither.
+result can be tested byte for byte.  The loop clears with least absolute
+remainders and promotes the smallest surviving remainder (Havas and
+Majewski, "Integer matrix diagonalization", J. Symb. Comput. 1997), which
+keeps the number of Euclid rounds and the growth of the transforms down.
+Each caller tracks only the transforms it reads: :func:`smith_normal_form`
+tracks U and V, :func:`kernel_basis` and :func:`kernel_and_cokernel` track
+V alone, and :func:`rank` and :func:`cokernel_presentation` track neither.
+D, every kernel basis (canonicalised by HNF) and every cokernel do not
+depend on the pivot rule; only U and V do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .abgroups import AbGroup
 
@@ -245,11 +250,12 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     """Smith normal form with unimodular transforms, ``U @ A @ V == D``.
 
     Deterministic: each pivot is the entry of smallest nonzero absolute
-    value, ties broken by lowest row index, then lowest column index.
-    While it clears its column and row, the first row (then column) that
-    keeps a nonzero remainder is swapped into the pivot position.  This
-    is the only caller that tracks U; U, D and V are what the ``snf``
-    command prints.
+    value, ties broken by lowest row index, then lowest column index.  Its
+    column, then its row, is cleared with nearest-integer quotients, so
+    each remainder is at most half the pivot; the row (then column) holding
+    the smallest nonzero remainder, the lowest index on ties, is swapped
+    into the pivot position and the clearing repeats.  This is the only
+    caller that tracks U; U, D and V are what the ``snf`` command prints.
     """
     m, n = A.rows, A.cols
     d, u, v = _reduce(A, track_u=True, track_v=True)
@@ -281,70 +287,94 @@ def _reduce(
             row[a], row[b] = row[b], row[a]
 
     def add_row(src: int, dst: int, q: int) -> None:
-        # row[dst] += q * row[src]
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
+        # row[dst] += q * row[src]; columns left of t are zero in both rows
+        # of D, so only the live columns t.. change.
+        d[dst][t:] = [x + q * y for x, y in zip(d[dst][t:], d[src][t:])]
         if u is not None:
             u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     t = 0
     while True:
-        best: tuple[int, int, int] | None = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(d[i][j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-        if best is None:
+        # The pivot is the least entry of the live submatrix, the first in
+        # row-major order.
+        k = _least_nonzero(x for row in d[t:] for x in row[t:])
+        if k is None:
             break
-        _, pi, pj = best
+        pi, pj = t + k // (n - t), t + k % (n - t)
         if pi != t:
             swap_rows(t, pi)
         if pj != t:
             swap_cols(t, pj)
         while True:
+            p = d[t][t]
+            unit = abs(p) == 1
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
+                x = d[i][t]
+                if x:
+                    q = x * p if unit else _nearest_quotient(x, p)
                     if q:
                         add_row(t, i, -q)
-            left = next((i for i in range(t + 1, m) if d[i][t]), None)
-            if left is not None:
-                # A remainder survived; it is strictly smaller than the
-                # pivot, so promoting it makes progress.
-                swap_rows(t, left)
-                continue
+            if not unit:
+                # A remainder is at most |p|/2, so promoting the smallest
+                # survivor at least halves the pivot.
+                left = _least_nonzero(d[i][t] for i in range(t + 1, m))
+                if left is not None:
+                    swap_rows(t, t + 1 + left)
+                    continue
             # Column t is now zero off the pivot, so a column operation
             # changes only row t of D.
             row_t = d[t]
             for j in range(t + 1, n):
-                if row_t[j]:
-                    q = row_t[j] // row_t[t]
+                x = row_t[j]
+                if x:
+                    q = x * p if unit else _nearest_quotient(x, p)
                     if q:
-                        row_t[j] -= q * row_t[t]
+                        row_t[j] -= q * p
                         if v is not None:
                             for row in v:
                                 row[j] -= q * row[t]
-            left = next((j for j in range(t + 1, n) if row_t[j]), None)
+            # A unit pivot divides everything, so its row and column are
+            # clear and the divisibility scan below has nothing to find.
+            if unit:
+                break
+            left = _least_nonzero(row_t[t + 1 :])
             if left is not None:
-                swap_cols(t, left)
+                swap_cols(t, t + 1 + left)
                 continue
             # Row and column are clear; force the pivot to divide the rest
-            # of the submatrix so the diagonal comes out as a chain.  A unit
-            # pivot divides everything.
-            if abs(row_t[t]) == 1:
-                break
+            # of the submatrix so the diagonal comes out as a chain.
             for i in range(t + 1, m):
-                if any(d[i][j] % row_t[t] for j in range(t + 1, n)):
+                if any(d[i][j] % p for j in range(t + 1, n)):
                     add_row(i, t, 1)
                     break
             else:
                 break
         if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
+            d[t][t] = -d[t][t]
             if u is not None:
                 u[t] = [-x for x in u[t]]
         t += 1
     return d, u, v
+
+
+def _least_nonzero(values: Iterable[int]) -> int | None:
+    """Index of the first value of least nonzero absolute value, or None if
+    all are zero.  The scan stops at the first unit, which nothing beats."""
+    best = 0
+    where = None
+    for k, x in enumerate(values):
+        if x:
+            x = abs(x)
+            if x == 1:
+                return k
+            if not best or x < best:
+                best, where = x, k
+    return where
+
+
+def _nearest_quotient(x: int, p: int) -> int:
+    """floor(x/p + 1/2): the remainder ``x - q*p`` is at most |p|/2."""
+    return (2 * x + p) // (2 * p)
 
 
 def _cokernel(A: IntMatrix, d: list[list[int]]) -> AbGroup:

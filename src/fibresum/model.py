@@ -38,6 +38,12 @@ __all__ = [
 
 PARITIES = ("even", "odd", "unknown")
 
+MAX_IMPLIED_CELLS = 1 << 20
+"""The most zero cells that omitting ``embedding_free`` or
+``embedding_torsion`` may make :func:`parse_side` allocate.  The implied
+rows are built before any rule bounds b1, the genus or the torsion count,
+so a short document could otherwise ask for more memory than exists."""
+
 
 class DocumentError(ValueError):
     """A problem document violates the schema or the model invariants."""
@@ -310,7 +316,19 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     genus = _as_int(doc["genus"], f"{where}.genus")
     two_g = 2 * genus
 
+    h1_torsion = tuple(_as_int_list(doc.get("h1_torsion", []), f"{where}.h1_torsion"))
     free_rows = doc.get("embedding_free")
+    torsion_doc = doc.get("embedding_torsion")
+    implied_rows = (b1 if free_rows is None else 0) + (len(h1_torsion) if torsion_doc is None else 0)
+    if implied_rows * two_g > MAX_IMPLIED_CELLS:
+        raise DocumentError(
+            [
+                f"{where}: omitted embedding rows would hold {implied_rows} x {two_g} cells, "
+                f"more than {MAX_IMPLIED_CELLS} (b1 = {b1}, genus = {genus}, "
+                f"{len(h1_torsion)} torsion factor(s))"
+            ]
+        )
+
     if free_rows is not None:
         if not isinstance(free_rows, list):
             raise DocumentError([f"{where}.embedding_free: expected an array of rows"])
@@ -325,9 +343,6 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     except ValueError as exc:
         raise DocumentError([f"{where}.embedding_free: {exc} (b1 = {b1}, genus = {genus})"]) from exc
 
-    h1_torsion = tuple(_as_int_list(doc.get("h1_torsion", []), f"{where}.h1_torsion"))
-
-    torsion_doc = doc.get("embedding_torsion")
     if torsion_doc is None:
         embedding_torsion = tuple((m, (0,) * two_g) for m in h1_torsion)
     else:

@@ -221,6 +221,19 @@ class TestValidate:
         doc = dict(K3_SUM, M=side)
         assert "M.embedding_free" in self.hostile(tmp_path, json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"b1": 2**62}, {"genus": 2**62, "h1_torsion": [2]}, {"b1": model.MAX_IMPLIED_CELLS // 2 + 1}],
+        ids=["b1_2**62", "torsion_rows_2**62", "b1_over_cap"],
+    )
+    def test_implied_size_over_cap_exits_2(self, tmp_path, fields):
+        # The omitted embedding rows imply more zero cells than the cap; the
+        # document is rejected before they are allocated.
+        side = {"name": "M", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, **fields}
+        doc = dict(K3_SUM, M=side)
+        assert "omitted embedding rows" in self.hostile(tmp_path, json.dumps(doc).encode())
+
     def test_t_length_checked(self, tmp_path):
         code, _, err = run(["validate", write_doc(tmp_path, dict(K3_SUM, t=[1, 2, 3]))])
         assert code == 2
@@ -308,6 +321,34 @@ class TestBatch:
         assert "2 problem(s), 1 failure(s)" in out
 
 
+    def test_internal_failure_isolated(self, tmp_path, monkeypatch):
+        # The alpha-in-kernel check fails for the item whose stacked
+        # embedding has a row; the other items keep their reports.
+        side = {
+            "name": "M", "b1": 1, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+            "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, "embedding_free": [[1, 0]],
+        }
+        docs = [K3_SUM, dict(K3_SUM, M=side), {"M": {"catalog": "E", "n": 2}}]
+        original = intlat.kernel_and_cokernel
+
+        def outside_kernel(A):
+            basis, coker = original(A)
+            return (IntBasis(2, ((1, 0),)), coker) if A.rows else (basis, coker)
+
+        monkeypatch.setattr(intlat, "kernel_and_cokernel", outside_kernel)
+        path = write_doc(tmp_path, docs)
+        code, out, _ = run(["batch", path, "--format", "json"])
+        assert code == 3
+        payload = json.loads(out)
+        assert [item["status"] for item in payload["items"]] == ["ok", "internal", "error"]
+        assert payload["items"][0]["report"] == cli.build_report(model.parse_problem(K3_SUM))
+        assert "not in the kernel" in payload["items"][1]["error"]
+        assert payload["failures"] == 2
+        code, out, _ = run(["batch", path])
+        assert code == 3
+        assert "--- problem 1: internal" in out and "--- problem 2: error" in out
+
+
 class TestSnf:
     def test_example_matrix(self, tmp_path):
         path = write_doc(tmp_path, [[2, 4], [6, 8]], name="matrix.json")
@@ -316,6 +357,18 @@ class TestSnf:
         payload = json.loads(out)
         assert payload["diagonal"] == [2, 4]
         assert payload["rank"] == 2
+
+    def test_pinned_transforms(self, tmp_path):
+        path = write_doc(tmp_path, [[-6, 8], [-8, 8], [-5, -9]], name="matrix.json")
+        code, out, _ = run(["snf", path, "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "U": [[-1, 0, 1], [-13, 11, -2], [56, -47, 8]],
+            "D": [[1, 0], [0, 2], [0, 0]],
+            "V": [[1, 17], [0, 1]],
+            "diagonal": [1, 2],
+            "rank": 2,
+        }
 
     def test_text_output(self, tmp_path):
         path = write_doc(tmp_path, [[2, 4], [6, 8]], name="matrix.json")

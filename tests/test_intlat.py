@@ -51,6 +51,15 @@ class TestSmithNormalForm:
         assert (snf.U @ m @ snf.V) == snf.D
         assert rank(m) == 0
 
+    def test_pinned_transforms(self):
+        # The exact transforms of the pivot rule.  Floor quotients, or
+        # promoting the first surviving remainder instead of the smallest,
+        # give other U and V (the earlier rule gave V = [[1, 43], [0, 1]]).
+        snf = smith_normal_form(IntMatrix.from_rows([[-6, 8], [-8, 8], [-5, -9]]))
+        assert snf.U.to_rows() == [[-1, 0, 1], [-13, 11, -2], [56, -47, 8]]
+        assert snf.D.to_rows() == [[1, 0], [0, 2], [0, 0]]
+        assert snf.V.to_rows() == [[1, 17], [0, 1]]
+
     def test_deterministic(self):
         m = IntMatrix.from_rows([[3, 1, -4], [2, -2, 6], [0, 5, 5]])
         first = smith_normal_form(m)
@@ -95,6 +104,20 @@ def oracle_matrices(count, max_dim=9):
             yield random_matrix(rng, rows, cols, rng.choice([1, 5, 10**6]))
 
 
+def ladder_matrices(count):
+    """Dense tall 4k x 2k matrices with |entries| <= 5, shaped like the
+    stacked embedding of a genus-k sum with b1 = 2k on each side."""
+    rng = random.Random(20261019)
+    for i in range(count):
+        k = 1 + i % 3
+        yield random_matrix(rng, 4 * k, 2 * k, 5)
+
+
+def sympy_oracle_matrices():
+    yield from oracle_matrices(600, max_dim=8)
+    yield from ladder_matrices(60)
+
+
 class TestDifferentialOracles:
     """The transform-free and V-only reductions against
     ``smith_normal_form`` as the reference, and sympy's invariant
@@ -120,13 +143,29 @@ class TestDifferentialOracles:
         from sympy import Matrix
         from sympy.matrices.normalforms import invariant_factors
 
-        for m in oracle_matrices(600, max_dim=8):
+        for m in sympy_oracle_matrices():
             if m.rows == 0 or m.cols == 0:
                 continue
             expected = [int(x) for x in invariant_factors(Matrix(m.to_rows())) if x]
             assert [x for x in smith_normal_form(m).diagonal() if x] == expected
             d = intlat._reduce(m)[0]
             assert [d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i]] == expected
+
+    def test_sympy_kernel(self):
+        # Independent of the pivot loop: every vector is in the kernel,
+        # there are cols - rank of them by sympy's rank, and the basis is
+        # saturated because sympy's invariant factors of it are all 1.
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        for m in sympy_oracle_matrices():
+            basis = kernel_basis(m)
+            for vec in basis.vectors:
+                assert m.mul_vector(vec) == (0,) * m.rows
+            expected_rank = Matrix(m.to_rows()).rank() if m.rows and m.cols else 0
+            assert len(basis) == m.cols - expected_rank
+            if len(basis):
+                assert all(x == 1 for x in invariant_factors(Matrix(basis.matrix().to_rows())))
 
 
 class TestRank:

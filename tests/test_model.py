@@ -16,6 +16,7 @@ from fibresum import (
     validate_problem,
     validate_side,
 )
+from fibresum import model
 from helpers import make_side
 
 
@@ -152,6 +153,19 @@ class TestParseProblem:
     def test_hostile_json_text_rejected(self, text):
         with pytest.raises(DocumentError, match="not valid JSON"):
             parse_problem(text)
+
+    def test_implied_cells_capped(self, monkeypatch):
+        side = {"name": "S", "b1": 4, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1}
+        monkeypatch.setattr(model, "MAX_IMPLIED_CELLS", 8)
+        assert model.parse_side(side, "M").embedding_free == IntMatrix.zeros(4, 2)
+        with pytest.raises(DocumentError, match="more than 8"):
+            model.parse_side(dict(side, b1=5), "M")
+        with pytest.raises(DocumentError, match="more than 8"):
+            model.parse_side(dict(side, h1_torsion=[2]), "M")
+        # Rows the document gives are not implied.
+        explicit = dict(side, b1=5, embedding_free=[[0, 0]] * 5)
+        assert model.parse_side(explicit, "M").embedding_free == IntMatrix.zeros(5, 2)
 
     def test_invariant_violation_rejected(self):
         doc = dict(CATALOG_DOC)
