@@ -76,6 +76,9 @@ class SumAnalysis:
     are expressed in its ordering.  ``h1_cohom_rank`` is the rank of H^1
     of the sum, ``rim_tori`` the rim-tori group, and ``split_classes`` a
     basis of the rank d + 1 group of split classes.
+    ``scope_violations`` lists the hypotheses of the forms module that the
+    sum breaks (see ``forms.scope_gate``); it is empty exactly when the
+    intersection form and canonical class are defined.
     """
 
     problem: FibreSumProblem
@@ -87,6 +90,7 @@ class SumAnalysis:
     h1_cohom_rank: int
     rim_tori: AbGroup
     split_classes: tuple[SplitClass, ...]
+    scope_violations: tuple[str, ...]
 
     @property
     def t_effective(self) -> tuple[int, ...]:
@@ -95,8 +99,11 @@ class SumAnalysis:
 
 
 def analyse(problem: FibreSumProblem) -> SumAnalysis:
-    """Every homological invariant of the sum from one Smith reduction of
-    the stacked free embedding S : Z^2g -> Z^(b1(M)+b1(N)).
+    """Every homological invariant of the sum from the kernel and cokernel
+    of the stacked free embedding S : Z^2g -> Z^(b1(M)+b1(N)), computed
+    once by ``intlat.kernel_and_cokernel``.  That takes one Smith
+    reduction of S, or none when S is injective with every invariant
+    factor 1 (then d = 0, coker S is free and the rim tori are free).
 
     The kernel of S gives d and the alpha basis.  S and its transpose
     share their Smith diagonal, so the rim-tori group, the cokernel of
@@ -105,6 +112,7 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     neither side has torsion in H_1 and gcd(k_M, k_N) = 1 the meridian
     dies and H_1 of the sum is coker S; otherwise H_1 needs one more
     reduction, of its own presentation (see :func:`_first_homology`).
+    The forms scope verdict is evaluated here too, once per sum.
 
     A supplied t-vector must have length d; a ``model.DocumentError`` is
     raised otherwise, so every analysis has a t-vector of the right
@@ -122,17 +130,33 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     a = problem.gluing.a
     a_adapted = tuple(sum(ai * vi for ai, vi in zip(a, vec)) for vec in alpha_basis.vectors)
     meridian_dies = not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
+    h1 = coker if meridian_dies else _first_homology(problem)
     return SumAnalysis(
         problem=problem,
         d=d,
         alpha_basis=alpha_basis,
         a_adapted=a_adapted,
         betti=_betti_numbers(problem, d),
-        h1=coker if meridian_dies else _first_homology(problem),
+        h1=h1,
         h1_cohom_rank=coker.free_rank,
         rim_tori=AbGroup(d, coker.torsion),
         split_classes=_split_classes(M.k, N.k, a_adapted),
+        scope_violations=_scope_violations(problem, h1),
     )
+
+
+def _scope_violations(problem: FibreSumProblem, h1: AbGroup) -> tuple[str, ...]:
+    """The forms hypotheses the sum breaks: each surface indivisible and
+    H_1 torsion free on both sides and on the sum."""
+    violations: list[str] = []
+    for label, side in (("M", problem.M), ("N", problem.N)):
+        if side.k != 1:
+            violations.append(f"surface class of {label} is divisible (k = {side.k})")
+        if side.h1_torsion:
+            violations.append(f"H_1({label}) has torsion {list(side.h1_torsion)}")
+    if not abgroups.is_torsion_free(h1):
+        violations.append(f"H_1 of the sum has torsion: {h1}")
+    return tuple(violations)
 
 
 def _betti_numbers(problem: FibreSumProblem, d: int) -> BettiNumbers:

@@ -2,7 +2,7 @@
 
 Valid only when both surfaces are indivisible (k = 1 on both sides) and
 the integral cohomology of both sides and of the sum is torsion free;
-:func:`scope_gate` checks exactly that.  Under those hypotheses the second
+:func:`scope_gate` reports exactly that.  Under those hypotheses the second
 cohomology of the sum splits into the two perpendicular blocks, d
 hyperbolic-like pair blocks spanned by a split class and a rim torus, and
 the nucleus spanned by the sewn dual surface and the surface push-off.
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import abgroups
 from .engine import SumAnalysis
 from .model import FibreSumProblem
 
@@ -199,23 +198,14 @@ class EmbeddedClass:
 
 
 def scope_gate(analysis: SumAnalysis) -> list[str]:
-    """Violations of the forms-module hypotheses; empty means in scope."""
-    problem = analysis.problem
-    violations: list[str] = []
-    for label, side in (("M", problem.M), ("N", problem.N)):
-        if side.k != 1:
-            violations.append(f"surface class of {label} is divisible (k = {side.k})")
-        if side.h1_torsion:
-            violations.append(f"H_1({label}) has torsion {list(side.h1_torsion)}")
-    if not abgroups.is_torsion_free(analysis.h1):
-        violations.append(f"H_1 of the sum has torsion: {analysis.h1}")
-    return violations
+    """Violations of the forms-module hypotheses; empty means in scope.
+    ``engine.analyse`` evaluates them once per sum."""
+    return list(analysis.scope_violations)
 
 
 def _require_scope(analysis: SumAnalysis) -> None:
-    violations = scope_gate(analysis)
-    if violations:
-        raise ScopeError(violations)
+    if analysis.scope_violations:
+        raise ScopeError(analysis.scope_violations)
 
 
 def canonical_class(analysis: SumAnalysis) -> CanonicalClass:

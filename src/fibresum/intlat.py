@@ -15,10 +15,20 @@ tracks U and V, :func:`kernel_basis` and :func:`kernel_and_cokernel` track
 V alone, and :func:`rank` and :func:`cokernel_presentation` track neither.
 D, every kernel basis (canonicalised by HNF) and every cokernel do not
 depend on the pivot rule; only U and V do.
+
+:func:`kernel_and_cokernel`, and so :func:`kernel_basis`, skips the
+reduction when a tall A is certified to have full column rank and every
+invariant factor 1: the gcd of its top and bottom maximal minors, taken
+with the Bareiss :meth:`IntMatrix.det`, is 1, or an elimination of A
+modulo that gcd finds a unit pivot in every column (a determinant bound
+on the invariant factors, as in Kannan and Bachem, SIAM J. Comput. 1979).
+The kernel is then 0 and the cokernel free, which is what the reduction
+returns, so the result does not depend on which path ran.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -134,9 +144,6 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def is_diagonal(self) -> bool:
         return all(
@@ -417,9 +424,48 @@ def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
     return rows[:r]
 
 
+def _unit_invariant_factors(A: IntMatrix) -> bool:
+    """True when A (m x n, m >= n >= 1) provably has n invariant factors,
+    all equal to 1; False when that is not certified.
+
+    The gcd d_n of all n x n minors divides delta, the gcd of the top and
+    bottom ones.  If delta > 1, an elimination of A mod delta that finds a
+    unit pivot in every column shows that A has rank n mod each prime
+    dividing delta, so no such prime divides d_n.  Either way d_n = 1.
+    """
+    m, n = A.rows, A.cols
+    if not 1 <= n <= m:
+        return False
+    delta = abs(IntMatrix(n, n, A.entries[: n * n]).det())
+    if delta != 1 and m > n:
+        delta = math.gcd(delta, IntMatrix(n, n, A.entries[(m - n) * n :]).det())
+    if delta <= 1:
+        return delta == 1
+    rows = [[x % delta for x in A.row(i)] for i in range(m)]
+    for j in range(n):
+        i = next((i for i, row in enumerate(rows) if math.gcd(row[j], delta) == 1), None)
+        if i is None:
+            return False
+        pivot = rows.pop(i)
+        inverse = pow(pivot[j], -1, delta)
+        for row in rows:
+            q = row[j] * inverse % delta
+            if q:
+                row[j:] = [(x - q * y) % delta for x, y in zip(row[j:], pivot[j:])]
+    return True
+
+
 def kernel_and_cokernel(A: IntMatrix) -> tuple[IntBasis, AbGroup]:
     """The kernel basis of :func:`kernel_basis` and the cokernel of
-    :func:`cokernel_presentation`, from one reduction of A."""
+    :func:`cokernel_presentation`, from at most one reduction of A.
+
+    No reduction runs when :func:`_unit_invariant_factors` certifies that
+    every invariant factor of A is 1 with full column rank: the kernel is
+    then 0 and the cokernel free of rank rows - cols, exactly what the
+    reduction would give.
+    """
+    if _unit_invariant_factors(A):
+        return IntBasis(A.cols, ()), AbGroup(A.rows - A.cols, ())
     d, _, v = _reduce(A, track_v=True)
     cokernel = _cokernel(A, d)
     vecs = [[row[j] for row in v] for j in range(A.rows - cokernel.free_rank, A.cols)]

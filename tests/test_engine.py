@@ -229,12 +229,38 @@ class TestSplitClasses:
         assert basis[2].label() == "alpha_2"
 
 
+# Genus-2 embeddings with b1 = 2g: stacked, each pair has every invariant
+# factor 1.  The minors of the first pair are -146 and 55 (gcd 1); those
+# of the second are -33 and 99, so the certificate needs its mod-33 pass.
+LADDER_EMBEDDINGS = {
+    "coprime_minors": (
+        [[1, 2, -3, -2], [2, 2, 3, -1], [-3, 2, -1, 2], [2, 1, 0, 1]],
+        [[3, 2, -2, -1], [-1, 1, 0, 3], [1, 0, 1, 3], [-3, 0, -2, 2]],
+    ),
+    "common_minor_factor": (
+        [[-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2]],
+        [[-3, 0, -3, 3], [0, 0, 1, 3], [3, -3, 2, 0], [-1, 2, 3, -2]],
+    ),
+}
+
+
+def ladder_problem(m_rows, n_rows):
+    sides = [
+        make_side(name, genus=2, b1=4, b2_plus=3, embedding=IntMatrix.from_rows(rows))
+        for name, rows in (("M", m_rows), ("N", n_rows))
+    ]
+    return FibreSumProblem(M=sides[0], N=sides[1], gluing=GluingClass((1, 0, -2, 3)))
+
+
 class TestSmithBudget:
     """Reductions per call, counted in the one pivot loop whichever public
-    wrapper runs it: one of the stacked embedding per report, one of the
-    H_1 presentation when a side has H_1 torsion or gcd(k_M, k_N) > 1,
-    one for the split classes of divisible surfaces, one per complement,
-    and none in parsing, with or without a t-vector."""
+    wrapper runs it: one of the stacked embedding per report, or none when
+    it is injective with every invariant factor 1 (certified without
+    reducing, as on the genus ladder; the E(n) sides have b1 = 0, so their
+    S is wide and always reduced); one of the H_1 presentation when a side
+    has H_1 torsion or gcd(k_M, k_N) > 1; one for the split classes of
+    divisible surfaces; one per complement; and none in parsing, with or
+    without a t-vector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -264,6 +290,25 @@ class TestSmithBudget:
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
         assert "skipped" in cli.build_report(problem)["forms"]
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("kind", sorted(LADDER_EMBEDDINGS))
+    def test_ladder_report_certified(self, calls, kind):
+        report = cli.build_report(ladder_problem(*LADDER_EMBEDDINGS[kind]))
+        assert "block_form" in report["forms"]
+        assert report["betti"]["d"] == 0
+        assert report["h1"] == {"free_rank": 4, "torsion": [], "rendered": "Z^4"}
+        assert len(calls) == 0
+
+    def test_ladder_report_with_factor_two(self, calls):
+        # Doubling the first coordinate makes one invariant factor 2.
+        m_rows, n_rows = (
+            [[2 * row[0], *row[1:]] for row in rows]
+            for rows in LADDER_EMBEDDINGS["common_minor_factor"]
+        )
+        report = cli.build_report(ladder_problem(m_rows, n_rows))
+        assert report["h1"]["torsion"] == [2]
+        assert "skipped" in report["forms"]
+        assert len(calls) == 1
 
     def test_complement_invariants(self, calls):
         complement_invariants(make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),)))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from fibresum import cli, engine
 from fibresum import (
     CanonicalClass,
     FibreSumProblem,
@@ -57,6 +58,19 @@ class TestScopeGate:
         other = make_side("N", genus=1)
         problem = FibreSumProblem(M=side, N=other, gluing=GluingClass((0, 0)))
         assert any("sum has torsion" in v for v in scope_gate(analyse(problem)))
+
+    def test_one_evaluation_per_report(self, monkeypatch):
+        verdicts = []
+        original = engine._scope_violations
+
+        def counting(*args):
+            verdicts.append(original(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(engine, "_scope_violations", counting)
+        report = cli.build_report(elliptic_problem(2, 3, a=(1, 0)))
+        assert "block_form" in report["forms"]
+        assert verdicts == [()]
 
     def test_gated_operations_raise(self):
         side = make_side("D", genus=1, k=2)

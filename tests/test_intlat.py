@@ -1,5 +1,6 @@
 """Smith normal form, rank, kernels and cokernel presentations."""
 
+import math
 import random
 
 import pytest
@@ -168,6 +169,104 @@ class TestDifferentialOracles:
                 assert all(x == 1 for x in invariant_factors(Matrix(basis.matrix().to_rows())))
 
 
+def certificate_pool(kind, count):
+    """Ladder-shaped 2n x n matrices (n <= 6, |entries| <= 5) of one kind,
+    told apart by sympy: ``coprime_minors`` (the top and bottom n x n
+    minors have gcd 1), ``common_minor_factor`` (that gcd is above 1, yet
+    every invariant factor is 1), ``non_unit_factor`` (one column scaled
+    by 2 or 3, both minors nonzero) and ``rank_deficient`` (a repeated
+    column)."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(f"certificate-{kind}")
+    pool = []
+    while len(pool) < count:
+        n = rng.randint(1 if kind in ("coprime_minors", "non_unit_factor") else 2, 6)
+        rows = random_matrix(rng, 2 * n, n, 5).to_rows()
+        if kind == "non_unit_factor":
+            j, scale = rng.randrange(n), rng.choice([2, 3])
+            for row in rows:
+                row[j] *= scale
+        elif kind == "rank_deficient":
+            j, k = rng.sample(range(n), 2)
+            for row in rows:
+                row[k] = row[j]
+        delta = math.gcd(int(Matrix(rows[:n]).det()), int(Matrix(rows[n:]).det()))
+        units = [int(x) for x in invariant_factors(Matrix(rows))] == [1] * n
+        wanted = {
+            "coprime_minors": delta == 1,
+            "common_minor_factor": delta > 1 and units,
+            "non_unit_factor": delta > 1 and not units,
+            "rank_deficient": delta == 0,
+        }[kind]
+        if wanted:
+            pool.append(IntMatrix.from_rows(rows))
+    return pool
+
+
+class TestUnitInvariantFactorCertificate:
+    """``kernel_and_cokernel`` on every kind equals sympy's cokernel and
+    the kernel of the reduction path.  It skips the reduction whenever
+    the minors are coprime, and whenever their gcd is a prime power and
+    every invariant factor is 1 (then each column has a pivot prime to
+    it); with two primes in the gcd it may fall back, never wrongly."""
+
+    @pytest.mark.parametrize(
+        "kind", ["coprime_minors", "common_minor_factor", "non_unit_factor", "rank_deficient"]
+    )
+    def test_against_sympy_and_reduction(self, kind, monkeypatch):
+        from sympy import Matrix, factorint
+        from sympy.matrices.normalforms import invariant_factors
+
+        original = intlat._reduce
+        reduced = []
+
+        def counting(A, *args, **kwargs):
+            reduced.append(A)
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(intlat, "_reduce", counting)
+        skipped_with_common_factor = 0
+        for m in certificate_pool(kind, 60):
+            rows, n = m.to_rows(), m.cols
+            factors = [int(x) for x in invariant_factors(Matrix(rows)) if x]
+            reference = smith_normal_form(m)
+            tail = [list(reference.V.column(j)) for j in range(reference.rank(), n)]
+            before = len(reduced)
+            basis, cokernel = intlat.kernel_and_cokernel(m)
+            assert cokernel == AbGroup(m.rows - len(factors), tuple(x for x in factors if x > 1))
+            assert [list(v) for v in basis.vectors] == intlat._hnf_rows(tail, n)
+            assert basis.ambient_dim == n
+            ran = len(reduced) > before
+            delta = math.gcd(int(Matrix(rows[:n]).det()), int(Matrix(rows[n:]).det()))
+            if kind in ("non_unit_factor", "rank_deficient"):
+                assert ran
+            elif kind == "coprime_minors" or len(factorint(delta)) == 1:
+                assert not ran
+            skipped_with_common_factor += delta > 1 and not ran
+        if kind == "common_minor_factor":
+            assert skipped_with_common_factor >= 50
+
+    def test_two_prime_gcd_falls_back(self):
+        # Minors -78 and -30 (gcd 6), every invariant factor 1, but no
+        # column holds an entry prime to 6.
+        m = IntMatrix.from_rows(
+            [[-2, -5, 4], [4, -5, -4], [-1, -1, -1], [1, -3, 1], [-4, -2, 5], [-3, 3, 3]]
+        )
+        assert not intlat._unit_invariant_factors(m)
+        assert intlat.kernel_and_cokernel(m) == (intlat.IntBasis(3, ()), AbGroup(3, ()))
+
+    def test_shapes_that_always_reduce(self):
+        for m in (IntMatrix.zeros(3, 0), IntMatrix.from_rows([[1, 0, 0]]), IntMatrix.zeros(0, 2)):
+            assert not intlat._unit_invariant_factors(m)
+
+    def test_square_unimodular(self):
+        m = IntMatrix.from_rows([[2, 3], [1, 2]])
+        assert intlat._unit_invariant_factors(m)
+        assert intlat.kernel_and_cokernel(m) == (intlat.IntBasis(2, ()), AbGroup(0, ()))
+
+
 class TestRank:
     def test_identity(self):
         assert rank(IntMatrix.identity(3)) == 3
@@ -254,6 +353,23 @@ class TestIntMatrix:
         assert m.det() == 2 * (0 * 3 - (-2) * 5) - (-3) * (4 * 3 - (-2) * 1) + 1 * (4 * 5 - 0 * 1)
         assert IntMatrix.identity(4).det() == 1
         assert IntMatrix.zeros(0, 0).det() == 1
+
+    def test_det_against_sympy(self):
+        # Random, singular (one row a combination of two others) and with
+        # zero leading entries, which make Bareiss swap rows.
+        from sympy import Matrix
+
+        rng = random.Random(20261020)
+        for i in range(360):
+            n = rng.randint(1, 8)
+            rows = random_matrix(rng, n, n, rng.choice([1, 3, 9, 10**6])).to_rows()
+            if i % 3 == 1 and n > 2:
+                a, b, c = rng.sample(range(n), 3)
+                rows[c] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[a], rows[b])]
+            elif i % 3 == 2:
+                for row in rows[: rng.randint(1, n)]:
+                    row[0] = 0
+            assert IntMatrix.from_rows(rows).det() == int(Matrix(rows).det())
 
     def test_big_entries_exact(self):
         big = 10**30
