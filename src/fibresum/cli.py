@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import engine, forms, model
@@ -287,8 +288,49 @@ def render_text(report: dict[str, Any]) -> str:
 
 
 def dump_structured(payload: Any) -> str:
-    """Canonical JSON: re-emitting a parsed report is byte-identical."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON: re-emitting a parsed report is byte-identical.
+
+    The bytes equal ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+    That call is not made because, once ``indent`` is set, CPython drops its
+    C encoder for a pure-Python one that costs as much as computing a small
+    report.  Only str-keyed dicts, lists, tuples, str, int, bool and None
+    are accepted; any other type raises ``TypeError``.
+    """
+    return _write_json(payload, "\n") + "\n"
+
+
+def _write_json(value: Any, indent: str) -> str:
+    """``value`` as indented JSON; ``indent`` is the newline that closes it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        items = [
+            encode_basestring_ascii(key) + ": " + _write_json(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if {int}.issuperset(map(type, value)):
+            items = map(int.__repr__, value)
+        else:
+            items = [_write_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(payload: dict[str, Any], fmt: str, stream) -> None:

@@ -66,9 +66,12 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(entries)}"
             )
-        for e in entries:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError(f"matrix entries must be ints, got {e!r}")
+        # One C-level scan passes the all-int case; the loop names the culprit
+        # and still admits int subclasses such as IntEnum.
+        if not {int}.issuperset(map(type, entries)):
+            for e in entries:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise ValueError(f"matrix entries must be ints, got {e!r}")
         object.__setattr__(self, "entries", entries)
 
     # -- constructors ------------------------------------------------------

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibresum import cli, forms, intlat, model
 from fibresum.intlat import IntBasis
@@ -275,6 +277,11 @@ class TestCatalog:
         code, _, err = run(["catalog", "F", "1"])
         assert code == 2
 
+    def test_json_round_trip(self):
+        code, out, _ = run(["catalog", "E", "3"])
+        assert code == 0
+        assert cli.dump_structured(json.loads(out)) == out
+
 
 class TestBatch:
     def test_divisibility_scan(self, tmp_path):
@@ -320,6 +327,14 @@ class TestBatch:
         assert "--- problem 1: error" in out
         assert "2 problem(s), 1 failure(s)" in out
 
+    def test_json_round_trip(self, tmp_path):
+        # The second item's error names a non-ASCII field, which the
+        # canonical form escapes.
+        docs = [K3_SUM, dict(K3_SUM, M={"catalog": "E", "n": 2, "gr\u00f6\u00dfe": 3})]
+        code, out, _ = run(["batch", write_doc(tmp_path, docs), "--format", "json"])
+        assert code == 2
+        assert "gr\\u00f6\\u00dfe" in out
+        assert cli.dump_structured(json.loads(out)) == out
 
     def test_internal_failure_isolated(self, tmp_path, monkeypatch):
         # The alpha-in-kernel check fails for the item whose stacked
@@ -376,8 +391,67 @@ class TestSnf:
         assert code == 0
         assert "U =" in out and "diagonal = [2, 4]" in out
 
+    def test_json_round_trip(self, tmp_path):
+        path = write_doc(tmp_path, [[10**20, 7], [3, 10**20 + 1]], name="matrix.json")
+        code, out, _ = run(["snf", path, "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert max(abs(x) for name in ("U", "V") for row in payload[name] for x in row) > 2**64
+        assert cli.dump_structured(payload) == out
+
     def test_bad_matrix(self, tmp_path):
         path = write_doc(tmp_path, [[1, 2], [3]], name="matrix.json")
         code, _, err = run(["snf", path])
         assert code == 2
         assert "ragged" in err
+
+
+def reference_json(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+class TestDumpStructured:
+    """The canonical emitter against ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_trees)
+    def test_matches_json_dumps(self, value):
+        assert cli.dump_structured(value) == reference_json(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [{}, [], ()]},
+            [[], {}, [[]]],
+            "gr\u00f6\u00dfe \u2603 \U0001d11e",
+            "\x00\x1f\t\n\r\x7f",
+            'say "hi"',
+            "back\\slash \\u0041",
+            "lone \ud800 surrogate \udfff",
+            {"\u00e9": "\u00e9", "\ud834": ["\"\\"]},
+            [2**64, -(2**64) - 1, 10**40, -(2**200)],
+            {"big": 2**63, "neg": -(2**63) - 1},
+            [True, 1, False, 0, None],
+            [1, True],
+            {"one": 1, "true": True, "zero": 0, "false": False, "none": None},
+        ],
+    )
+    def test_explicit_cases(self, value):
+        assert cli.dump_structured(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {2: 3}}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli.dump_structured(value)

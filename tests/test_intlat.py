@@ -1,7 +1,9 @@
 """Smith normal form, rank, kernels and cokernel presentations."""
 
+import enum
 import math
 import random
+import re
 
 import pytest
 
@@ -339,6 +341,14 @@ class TestIntMatrix:
     def test_non_int_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix(1, 1, (1.5,))
+
+    def test_entry_types_pinned(self):
+        # bool, float and str are rejected by name; int subclasses pass.
+        for bad in (True, 2.0, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"matrix entries must be ints, got {bad!r}")):
+                IntMatrix(1, 3, (1, bad, 4))
+        plus = enum.IntEnum("Sign", "PLUS").PLUS
+        assert IntMatrix(1, 3, (1, plus, 4)).entries == (1, plus, 4)
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
