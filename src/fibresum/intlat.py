@@ -17,13 +17,16 @@ D, every kernel basis (canonicalised by HNF) and every cokernel do not
 depend on the pivot rule; only U and V do.
 
 :func:`kernel_and_cokernel`, and so :func:`kernel_basis`, skips the
-reduction when a tall A is certified to have full column rank and every
-invariant factor 1: the gcd of its top and bottom maximal minors, taken
-with the Bareiss :meth:`IntMatrix.det`, is 1, or an elimination of A
-modulo that gcd finds a unit pivot in every column (a determinant bound
-on the invariant factors, as in Kannan and Bachem, SIAM J. Comput. 1979).
-The kernel is then 0 and the cokernel free, which is what the reduction
-returns, so the result does not depend on which path ran.
+reduction exactly when a tall A has full column rank and every invariant
+factor 1, that is when d_n, the gcd of its maximal minors, is 1 (Kannan
+and Bachem, SIAM J. Comput. 1979).  :func:`_unit_invariant_factors`
+decides this from one fraction-free elimination (Bareiss, Math. Comp.
+1968): by Sylvester's identity, each further row, carried through it at
+O(n^2), gives a maximal minor with every row before it at O(1) each.  A
+gcd of these minors that stays above 1 is settled by an elimination
+modulo it, split into coprime parts at each zero divisor.  The kernel is
+then 0 and the cokernel free, which is what the reduction returns, so the
+result does not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -192,21 +195,17 @@ class IntMatrix:
             return 1
         m = self.to_rows()
         sign = 1
-        prev = 1
+        divisors = [1]
         for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+            i = next((i for i in range(k, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            if i != k:
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
+            for row in m[k + 1 :]:
+                _fraction_free_carry(row, m, divisors, k, k + 1)
+            divisors.append(m[k][k])
         return sign * m[n - 1][n - 1]
 
     def __str__(self) -> str:
@@ -427,44 +426,130 @@ def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
     return rows[:r]
 
 
-def _unit_invariant_factors(A: IntMatrix) -> bool:
-    """True when A (m x n, m >= n >= 1) provably has n invariant factors,
-    all equal to 1; False when that is not certified.
+def _fraction_free_carry(
+    row: list[int], pivots: Sequence[list[int]], divisors: Sequence[int], start: int, stop: int
+) -> None:
+    """Carry ``row`` in place through stages start..stop-1 of a
+    fraction-free (Bareiss) elimination.  Stage k has the pivot row
+    ``pivots[k]``, itself carried through stages 0..k-1, and the divisor
+    ``divisors[k]``, the pivot of stage k - 1 (1 at stage 0); it makes
+    entry j > k ``(pivots[k][k]*row[j] - row[k]*pivots[k][j]) /
+    divisors[k]``, an exact division.  After stage k, entry j is the minor
+    on the pivot rows of stages 0..k and ``row``, in columns 0..k and j.
+    Entries up to column k are left stale."""
+    for k in range(start, stop):
+        pivot, divisor = pivots[k], divisors[k]
+        p, x = pivot[k], row[k]
+        row[k + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[k + 1 :], pivot[k + 1 :])]
 
-    The gcd d_n of all n x n minors divides delta, the gcd of the top and
-    bottom ones.  If delta > 1, an elimination of A mod delta that finds a
-    unit pivot in every column shows that A has rank n mod each prime
-    dividing delta, so no such prime divides d_n.  Either way d_n = 1.
+
+def _unit_invariant_factors(A: IntMatrix) -> bool:
+    """True iff A (m x n) has m >= n >= 1, rank n and every invariant
+    factor 1, that is iff d_n, the gcd of its n x n minors, is 1.
+
+    For n = 1, d_n is the gcd of the column.  Otherwise one fraction-free
+    elimination runs over columns 0..n-3, taking each pivot row from A in
+    row order; a column with no nonzero entry at its stage in any row means
+    rank below n.  Each other row, carried through those stages, keeps two
+    live entries (x0, x1) = (x[n-2], x[n-1]).  By Sylvester's identity,
+    for two such rows x and y, ``(x0*y1 - x1*y0) / p``, with p the last
+    pivot (1 when n = 2), is plus or minus the n x n minor on the pivot
+    rows, x and y.  The minors of each further row are folded into their
+    gcd delta, a multiple of d_n, until delta = 1 or a row leaves a
+    nonzero delta unchanged.  delta = 0 after every row means rank below
+    n.  When m = n, delta is |det A| = d_n.  Otherwise a delta above 1 is
+    settled by :func:`_full_rank_modulo`: d_n = 1 iff A has rank n
+    modulo every prime dividing delta.
     """
     m, n = A.rows, A.cols
     if not 1 <= n <= m:
         return False
-    delta = abs(IntMatrix(n, n, A.entries[: n * n]).det())
-    if delta != 1 and m > n:
-        delta = math.gcd(delta, IntMatrix(n, n, A.entries[(m - n) * n :]).det())
-    if delta <= 1:
-        return delta == 1
-    rows = [[x % delta for x in A.row(i)] for i in range(m)]
-    for j in range(n):
-        i = next((i for i, row in enumerate(rows) if math.gcd(row[j], delta) == 1), None)
-        if i is None:
+    if n == 1:
+        return math.gcd(*A.entries) == 1
+    rows = A.to_rows()
+    level = [0] * m  # the stages each row has been carried through
+    pivots: list[list[int]] = []  # the pivot row of each stage
+    divisors = [1]  # divisors[s] is the pivot of stage s - 1
+    others = list(range(m))
+    for s in range(n - 2):
+        for i in others:
+            _fraction_free_carry(rows[i], pivots, divisors, level[i], s)
+            level[i] = s
+            if rows[i][s]:
+                break
+        else:
             return False
-        pivot = rows.pop(i)
-        inverse = pow(pivot[j], -1, delta)
-        for row in rows:
-            q = row[j] * inverse % delta
-            if q:
-                row[j:] = [(x - q * y) % delta for x, y in zip(row[j:], pivot[j:])]
-    return True
+        others.remove(i)
+        pivots.append(rows[i])
+        divisors.append(rows[i][s])
+    k, p = n - 2, divisors[-1]
+    delta = 0
+    tails: list[tuple[int, int]] = []
+    for i in others:
+        _fraction_free_carry(rows[i], pivots, divisors, level[i], k)
+        y0, y1 = rows[i][k:]
+        before = delta
+        for x0, x1 in tails:
+            delta = math.gcd(delta, (x0 * y1 - x1 * y0) // p)
+            if delta == 1:
+                return True
+        if delta and delta == before:
+            break
+        tails.append((y0, y1))
+    if not delta or m == n:
+        return False
+    return _full_rank_modulo(A, delta, [None] * n, 0)
+
+
+def _full_rank_modulo(
+    A: IntMatrix, delta: int, basis: Sequence[list[int] | None], start: int
+) -> bool:
+    """True iff A has rank ``A.cols`` modulo every prime dividing delta > 1,
+    given ``basis`` found from the rows before ``start``.
+
+    Rows from ``start`` on are inserted one at a time.  Each is reduced mod
+    delta, column by column, against the echelon rows found so far
+    (``basis[j]`` is 0 before column j and 1 at it, or None).  A row whose
+    first surviving entry is a unit joins them; once there are n, A has
+    rank n modulo every prime of delta.  A row that reduces to 0 is
+    dependent modulo every prime of delta.  A first surviving entry x that
+    is a zero divisor splits delta into g = gcd(x, delta), modulo which x
+    vanishes, and the part of delta / g prime to g, modulo which x is a
+    unit; each part is decided on from this row.
+    """
+    n = A.cols
+    basis = [None if b is None else [x % delta for x in b] for b in basis]
+    for i in range(start, A.rows):
+        row = [x % delta for x in A.row(i)]
+        for j in range(n):
+            x = row[j]
+            if not x:
+                continue
+            b = basis[j]
+            if b is not None:
+                row[j:] = [(y - x * z) % delta for y, z in zip(row[j:], b[j:])]
+                continue
+            g = math.gcd(x, delta)
+            if g > 1:
+                h = delta // g
+                while (c := math.gcd(h, g)) > 1:
+                    h //= c
+                return all(_full_rank_modulo(A, part, basis, i) for part in (g, h) if part > 1)
+            inverse = pow(x, -1, delta)
+            basis[j] = [y * inverse % delta for y in row]
+            if None not in basis:
+                return True
+            break
+    return False
 
 
 def kernel_and_cokernel(A: IntMatrix) -> tuple[IntBasis, AbGroup]:
     """The kernel basis of :func:`kernel_basis` and the cokernel of
     :func:`cokernel_presentation`, from at most one reduction of A.
 
-    No reduction runs when :func:`_unit_invariant_factors` certifies that
-    every invariant factor of A is 1 with full column rank: the kernel is
-    then 0 and the cokernel free of rank rows - cols, exactly what the
+    No reduction runs exactly when :func:`_unit_invariant_factors` finds
+    that A has full column rank and every invariant factor 1: the kernel
+    is then 0 and the cokernel free of rank rows - cols, what the
     reduction would give.
     """
     if _unit_invariant_factors(A):

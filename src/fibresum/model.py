@@ -284,6 +284,10 @@ def _as_int(value: Any, where: str) -> int:
 
 
 def _as_int_list(value: Any, where: str) -> list[int]:
+    # One C-level scan passes a list of plain ints; the loop names the culprit
+    # and still admits int subclasses such as IntEnum.
+    if type(value) is list and {int}.issuperset(map(type, value)):
+        return list(value)
     if not isinstance(value, list):
         raise DocumentError([f"{where}: expected a list of integers, got {value!r}"])
     return [_as_int(x, where) for x in value]

@@ -230,8 +230,9 @@ class TestSplitClasses:
 
 
 # Genus-2 embeddings with b1 = 2g: stacked, each pair has every invariant
-# factor 1.  The minors of the first pair are -146 and 55 (gcd 1); those
-# of the second are -33 and 99, so the certificate needs its mod-33 pass.
+# factor 1.  The certificate's minors of the first pair reach gcd 1; those
+# of the second stall at 3, so it needs its modular pass; those of the
+# third stall at 6, so that pass splits 6 into 2 and 3.
 LADDER_EMBEDDINGS = {
     "coprime_minors": (
         [[1, 2, -3, -2], [2, 2, 3, -1], [-3, 2, -1, 2], [2, 1, 0, 1]],
@@ -240,6 +241,10 @@ LADDER_EMBEDDINGS = {
     "common_minor_factor": (
         [[-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2]],
         [[-3, 0, -3, 3], [0, 0, 1, 3], [3, -3, 2, 0], [-1, 2, 3, -2]],
+    ),
+    "two_prime_gcd": (
+        [[-3, -3, -1, 1], [0, 0, 3, 1], [-3, -3, -2, -2], [3, 0, -3, 0]],
+        [[1, -3, -1, 1], [3, 2, 0, 1], [-3, -3, -2, 0], [3, 3, 1, 0]],
     ),
 }
 
@@ -297,6 +302,20 @@ class TestSmithBudget:
         assert "block_form" in report["forms"]
         assert report["betti"]["d"] == 0
         assert report["h1"] == {"free_rank": 4, "torsion": [], "rendered": "Z^4"}
+        assert len(calls) == 0
+
+    def test_ladder_report_two_prime_gcd(self, calls, monkeypatch):
+        moduli = []
+        original = intlat._full_rank_modulo
+
+        def spy(A, delta, *args):
+            moduli.append(delta)
+            return original(A, delta, *args)
+
+        monkeypatch.setattr(intlat, "_full_rank_modulo", spy)
+        report = cli.build_report(ladder_problem(*LADDER_EMBEDDINGS["two_prime_gcd"]))
+        assert report["betti"]["d"] == 0
+        assert moduli == [6, 3, 2]
         assert len(calls) == 0
 
     def test_ladder_report_with_factor_two(self, calls):

@@ -209,16 +209,15 @@ def certificate_pool(kind, count):
 
 class TestUnitInvariantFactorCertificate:
     """``kernel_and_cokernel`` on every kind equals sympy's cokernel and
-    the kernel of the reduction path.  It skips the reduction whenever
-    the minors are coprime, and whenever their gcd is a prime power and
-    every invariant factor is 1 (then each column has a pivot prime to
-    it); with two primes in the gcd it may fall back, never wrongly."""
+    the kernel of the reduction path.  The certificate is an exact
+    decision, so the reduction runs exactly when sympy finds fewer than n
+    invariant factors or one above 1."""
 
     @pytest.mark.parametrize(
         "kind", ["coprime_minors", "common_minor_factor", "non_unit_factor", "rank_deficient"]
     )
     def test_against_sympy_and_reduction(self, kind, monkeypatch):
-        from sympy import Matrix, factorint
+        from sympy import Matrix
         from sympy.matrices.normalforms import invariant_factors
 
         original = intlat._reduce
@@ -242,22 +241,81 @@ class TestUnitInvariantFactorCertificate:
             assert basis.ambient_dim == n
             ran = len(reduced) > before
             delta = math.gcd(int(Matrix(rows[:n]).det()), int(Matrix(rows[n:]).det()))
-            if kind in ("non_unit_factor", "rank_deficient"):
-                assert ran
-            elif kind == "coprime_minors" or len(factorint(delta)) == 1:
-                assert not ran
+            assert ran == (factors != [1] * n)
             skipped_with_common_factor += delta > 1 and not ran
         if kind == "common_minor_factor":
             assert skipped_with_common_factor >= 50
 
-    def test_two_prime_gcd_falls_back(self):
-        # Minors -78 and -30 (gcd 6), every invariant factor 1, but no
-        # column holds an entry prime to 6.
+    def test_two_prime_gcd_certified(self):
+        # Top and bottom minors -78 and -30 (gcd 6), every invariant
+        # factor 1, and no column holds an entry prime to 6.
         m = IntMatrix.from_rows(
             [[-2, -5, 4], [4, -5, -4], [-1, -1, -1], [1, -3, 1], [-4, -2, 5], [-3, 3, 3]]
         )
-        assert not intlat._unit_invariant_factors(m)
+        assert intlat._unit_invariant_factors(m)
         assert intlat.kernel_and_cokernel(m) == (intlat.IntBasis(3, ()), AbGroup(3, ()))
+
+    def test_decision_against_sympy(self, monkeypatch):
+        """True exactly when sympy finds n invariant factors, all 1, on
+        random tall matrices (scaled columns, entries with common
+        factors, zero top blocks, repeated columns) and on matrices whose
+        minors stall at 6, 12 and 30, so that the modular pass runs and
+        splits its modulus."""
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        moduli = []
+        original = intlat._full_rank_modulo
+
+        def spy(A, delta, *args):
+            moduli.append(delta)
+            return original(A, delta, *args)
+
+        monkeypatch.setattr(intlat, "_full_rank_modulo", spy)
+        stalled = [
+            ([[1, 0], [0, 6], [0, 12], [0, 2], [0, 3]], True),
+            ([[1, 0], [0, 6], [0, 12], [0, 2]], False),
+            ([[1, 0], [0, 12], [2, 24], [0, 2], [0, 4], [1, 3]], True),
+            ([[1, 0], [0, 12], [2, 24], [0, 4], [0, 8]], False),
+            ([[1, 0], [0, 30], [0, 60], [0, 6], [0, 10], [0, 15]], True),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 30], [0, 0, 60], [0, 0, 6], [0, 0, 10]], False),
+        ]
+        cases = [(IntMatrix.from_rows(rows), want) for rows, want in stalled]
+        rng = random.Random("unit-invariant-factors")
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = random_matrix(rng, rng.randint(n, 2 * n + 2), n, 5).to_rows()
+            shape = rng.randrange(5)
+            if shape == 0:
+                j, scale = rng.randrange(n), rng.choice([2, 3, 6])
+                for row in rows:
+                    row[j] *= scale
+            elif shape == 1:
+                for row in rows:
+                    row[:] = [x * rng.choice([1, 2, 3, 5]) for x in row]
+            elif shape == 2:
+                for row in rows[: rng.randint(1, max(1, len(rows) - 1))]:
+                    row[:] = [0] * n
+            elif shape == 3 and n > 1:
+                j, k = rng.sample(range(n), 2)
+                for row in rows:
+                    row[k] = row[j]
+            cases.append((IntMatrix.from_rows(rows), None))
+        first_moduli, widths, square_non_unit, zero_top = set(), set(), 0, 0
+        for m, want in cases:
+            factors = [int(x) for x in invariant_factors(Matrix(m.to_rows()))]
+            expected = factors == [1] * m.cols
+            assert want in (None, expected)
+            moduli.clear()
+            assert intlat._unit_invariant_factors(m) == expected
+            first_moduli.update(moduli[:1])
+            widths.add(m.cols)
+            if m.rows == m.cols:
+                square_non_unit += abs(int(Matrix(m.to_rows()).det())) > 1
+            zero_top += not any(m.row(0))
+        assert {6, 12, 30} <= first_moduli
+        assert {1, 2} <= widths
+        assert square_non_unit and zero_top
 
     def test_shapes_that_always_reduce(self):
         for m in (IntMatrix.zeros(3, 0), IntMatrix.from_rows([[1, 0, 0]]), IntMatrix.zeros(0, 2)):

@@ -167,6 +167,35 @@ class TestParseProblem:
         explicit = dict(side, b1=5, embedding_free=[[0, 0]] * 5)
         assert model.parse_side(explicit, "M").embedding_free == IntMatrix.zeros(5, 2)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1, True], "M.embedding_free: expected an integer, got True"),
+            ([1, 2.0], "M.embedding_free: expected an integer, got 2.0"),
+            (["1", 2], "M.embedding_free: expected an integer, got '1'"),
+            ((1, 2), "M.embedding_free: expected a list of integers, got (1, 2)"),
+        ],
+        ids=["bool", "float", "str", "tuple"],
+    )
+    def test_embedding_entry_errors(self, row, message):
+        side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
+                "embedding_free": [[0, 1], row]}
+        with pytest.raises(DocumentError) as caught:
+            model.parse_side(side, "M")
+        assert caught.value.messages == [message]
+
+    def test_embedding_int_subclass_accepted(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            ONE = 1
+
+        side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
+                "embedding_free": [[0, Level.ONE], [1, 0]]}
+        assert model.parse_side(side, "M").embedding_free == IntMatrix.from_rows([[0, 1], [1, 0]])
+
     def test_invariant_violation_rejected(self):
         doc = dict(CATALOG_DOC)
         doc["M"] = {
