@@ -64,5 +64,5 @@ for p in range(0, 7):
     cc = canonical_class(analyse(problem))
     check = canonical_square(cc, problem)
     print(f"  p = {p}: divisibility {divisibility(cc).value}, "
-          f"K_X^2 = {check.value} (target {check.target})")
+          f"K_X^2 = {check.lhs} (target {check.rhs})")
 print("  Even p keeps the divisibility of E(4); odd p destroys it.")

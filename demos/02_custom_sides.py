@@ -67,7 +67,7 @@ print(f"  H_1(X) = {analysis.h1}, R(X) = {analysis.rim_tori}")
 cc = canonical_class(analysis)
 check = canonical_square(cc, problem)
 print(f"  K_X coefficients: b = {cc.b_coeff}, sigma = {cc.sigma_coeff}, r = {cc.r_coeffs}")
-print(f"  K_X^2 = {check.value}, closed formula gives {check.target}")
+print(f"  K_X^2 = {check.lhs}, closed formula gives {check.rhs}")
 
 print()
 print("Where a class of M lands in the sum (sewn dual surface B_X, push-off Sigma_X):")

@@ -137,8 +137,8 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
                     "signature": bf.pn_block.signature,
                     "parity": bf.pn_block.parity,
                 },
-                "pair_s_sq_parities": [p.s_sq_parity for p in bf.pair_blocks],
-                "nucleus_b_sq": bf.nucleus_block.b_sq,
+                "pair_s_sq_parities": list(bf.pair_s_sq_parities),
+                "nucleus_b_sq": bf.nucleus_b_sq,
                 "rank": bf.rank,
                 "signature": bf.signature,
             },
@@ -156,7 +156,7 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
             },
             "divisibility": {"value": div.value, "exact": div.exact},
         }
-        checks["k_squared"] = {"value": k_sq.value, "target": k_sq.target, "pass": k_sq.ok}
+        checks["k_squared"] = {"value": k_sq.lhs, "target": k_sq.rhs, "pass": k_sq.ok}
         checks["ionel_parker"] = [
             {"name": line.name, "lhs": line.lhs, "rhs": line.rhs, "pass": line.ok} for line in ip
         ]
@@ -448,13 +448,7 @@ def cmd_snf(args, stdout, stderr) -> int:
     }
     if args.format == "text":
         for name in ("U", "D", "V"):
-            stdout.write(f"{name} =\n")
-            rows = payload[name]
-            if not rows or not rows[0]:
-                stdout.write(f"  <empty {len(rows)}x{0 if not rows else len(rows[0])}>\n")
-            else:
-                for row in rows:
-                    stdout.write("  " + " ".join(str(x) for x in row) + "\n")
+            stdout.write(f"{name} =\n  " + str(getattr(snf, name)).replace("\n", "\n  ") + "\n")
         stdout.write(f"diagonal = {payload['diagonal']}\nrank = {payload['rank']}\n")
     else:
         stdout.write(dump_structured(payload))

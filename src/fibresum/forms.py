@@ -6,6 +6,8 @@ the integral cohomology of both sides and of the sum is torsion free;
 cohomology of the sum splits into the two perpendicular blocks, d
 hyperbolic-like pair blocks spanned by a split class and a rim torus, and
 the nucleus spanned by the sewn dual surface and the surface push-off.
+:class:`BlockForm` holds the numbers of that block sum; every identity the
+module checks comes back as a :class:`CheckLine`.
 
 The canonical class is stored as its coefficient vector in this basis,
 in both the push-off basis (coefficients r_i, sigma on Sigma_X) and the
@@ -28,13 +30,10 @@ __all__ = [
     "InternalCheckError",
     "CanonicalClass",
     "PBlock",
-    "PairBlock",
-    "NucleusBlock",
     "BlockForm",
     "FormClass",
     "Divisibility",
     "CheckLine",
-    "KSquareCheck",
     "EmbeddedClass",
     "scope_gate",
     "canonical_class",
@@ -104,33 +103,27 @@ class PBlock:
 
 
 @dataclass(frozen=True)
-class PairBlock:
-    """One block [[S_i^2, 1], [1, 0]] on a split class and its dual rim
-    torus.  Only the parity of S_i^2 is determined by the algebraic input
-    (it must match the rim coefficient of the canonical class mod 2, and
-    rim shifts move S_i^2 in even steps); the absolute value is not."""
-
-    s_sq_parity: int
-
-
-@dataclass(frozen=True)
-class NucleusBlock:
-    """The block [[b_sq, 1], [1, 0]] on the sewn dual surface and the
-    push-off, with b_sq the sum of the two dual-surface squares."""
-
-    b_sq: int
-
-
-@dataclass(frozen=True)
 class BlockForm:
+    """The intersection form of the sum as a block sum.
+
+    ``pm_block`` and ``pn_block`` are the perpendicular blocks.  Each split
+    class S_i and its dual rim torus span a block [[S_i^2, 1], [1, 0]];
+    only S_i^2 mod 2 is determined by the algebraic input (it must match
+    the rim coefficient of the canonical class mod 2, and rim shifts move
+    S_i^2 in even steps), so ``pair_s_sq_parities`` holds those parities.
+    The sewn dual surface and the push-off span the nucleus
+    [[nucleus_b_sq, 1], [1, 0]], where ``nucleus_b_sq`` = B_M^2 + B_N^2 is
+    the sum of the two dual-surface squares.
+    """
+
     pm_block: PBlock
     pn_block: PBlock
-    pair_blocks: tuple[PairBlock, ...]
-    nucleus_block: NucleusBlock
+    pair_s_sq_parities: tuple[int, ...]
+    nucleus_b_sq: int
 
     @property
     def rank(self) -> int:
-        return self.pm_block.rank + self.pn_block.rank + 2 * len(self.pair_blocks) + 2
+        return self.pm_block.rank + self.pn_block.rank + 2 * len(self.pair_s_sq_parities) + 2
 
     @property
     def signature(self) -> int:
@@ -146,7 +139,6 @@ class FormClass:
     rank: int
     signature: int
     parity: str
-    summands: tuple[tuple[str, int], ...]
     decomposition: str
 
 
@@ -172,16 +164,6 @@ class CheckLine:
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
-
-
-@dataclass(frozen=True)
-class KSquareCheck:
-    value: int
-    target: int
-
-    @property
-    def ok(self) -> bool:
-        return self.value == self.target
 
 
 @dataclass(frozen=True)
@@ -240,9 +222,9 @@ def canonical_class(analysis: SumAnalysis) -> CanonicalClass:
     )
 
 
-def canonical_square(cc: CanonicalClass, problem: FibreSumProblem) -> KSquareCheck:
-    """Square of the canonical class by block evaluation, checked against
-    the closed formula K_M^2 + K_N^2 + (8g - 8).
+def canonical_square(cc: CanonicalClass, problem: FibreSumProblem) -> CheckLine:
+    """Square of the canonical class by block evaluation (``lhs``), checked
+    against the closed formula K_M^2 + K_N^2 + (8g - 8) (``rhs``).
 
     The rim and split coefficients contribute nothing: rim tori have
     square zero and pair off only against split classes, whose
@@ -250,17 +232,19 @@ def canonical_square(cc: CanonicalClass, problem: FibreSumProblem) -> KSquareChe
     """
     M, N, g = problem.M, problem.N, problem.genus
     b_sq = M.B_squared + N.B_squared
-    value = (
-        cc.kbar_m_sq
-        + cc.kbar_n_sq
-        + cc.b_coeff * cc.b_coeff * b_sq
-        + 2 * cc.b_coeff * cc.sigma_coeff
+    check = CheckLine(
+        name="K_X^2 == K_M^2 + K_N^2 + 8g - 8",
+        lhs=(
+            cc.kbar_m_sq
+            + cc.kbar_n_sq
+            + cc.b_coeff * cc.b_coeff * b_sq
+            + 2 * cc.b_coeff * cc.sigma_coeff
+        ),
+        rhs=M.K_squared + N.K_squared + 8 * g - 8,
     )
-    target = M.K_squared + N.K_squared + 8 * g - 8
-    check = KSquareCheck(value=value, target=target)
     if not check.ok:
         raise InternalCheckError(
-            f"canonical-class square {value} disagrees with the closed formula {target}"
+            f"canonical-class square {check.lhs} disagrees with the closed formula {check.rhs}"
         )
     return check
 
@@ -276,8 +260,8 @@ def assemble_intersection_form(analysis: SumAnalysis, cc: CanonicalClass) -> Blo
     bf = BlockForm(
         pm_block=PBlock(rank=M.b2 - 2, signature=M.signature, parity=M.p_parity),
         pn_block=PBlock(rank=N.b2 - 2, signature=N.signature, parity=N.p_parity),
-        pair_blocks=tuple(PairBlock(s_sq_parity=ri % 2) for ri in cc.r_coeffs),
-        nucleus_block=NucleusBlock(b_sq=M.B_squared + N.B_squared),
+        pair_s_sq_parities=tuple(ri % 2 for ri in cc.r_coeffs),
+        nucleus_b_sq=M.B_squared + N.B_squared,
     )
     betti = analysis.betti
     if bf.rank != betti.b2 or bf.signature != betti.sigma:
@@ -300,7 +284,7 @@ def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
             raise UnknownParityError(
                 f"p_parity of side {label} is unknown; classification needs it"
             )
-    b_sq = bf.nucleus_block.b_sq
+    b_sq = bf.nucleus_b_sq
     k_dot_b = cc.b_coeff * b_sq + cc.sigma_coeff
     if (k_dot_b - b_sq) % 2 != 0:
         raise InternalCheckError(
@@ -309,7 +293,7 @@ def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
     even = (
         bf.pm_block.parity == "even"
         and bf.pn_block.parity == "even"
-        and all(p.s_sq_parity == 0 for p in bf.pair_blocks)
+        and not any(bf.pair_s_sq_parities)
         and b_sq % 2 == 0
     )
     rank, signature = bf.rank, bf.signature
@@ -320,12 +304,10 @@ def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
 
     if b2_plus == 0 or b2_minus == 0:
         text = "definite: classification out of scope"
-        return FormClass(rank, signature, "even" if even else "odd", ((text, 1),), text)
+        return FormClass(rank, signature, "even" if even else "odd", text)
 
     if not even:
-        summands = ((f"<+1>", b2_plus), (f"<-1>", b2_minus))
-        text = f"{b2_plus}<+1> + {b2_minus}<-1>"
-        return FormClass(rank, signature, "odd", summands, text)
+        return FormClass(rank, signature, "odd", f"{b2_plus}<+1> + {b2_minus}<-1>")
 
     if signature % 8 != 0:
         raise InputDataError(
@@ -334,16 +316,12 @@ def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
     e8_count = abs(signature) // 8
     e8_sign = "-1" if signature < 0 else "+1"
     h_count = b2_plus if signature <= 0 else b2_minus
-    parts: list[tuple[str, int]] = []
     bits: list[str] = []
     if h_count:
-        parts.append(("H", h_count))
         bits.append(f"{h_count}H")
     if e8_count:
-        parts.append((f"E8({e8_sign})", e8_count))
         bits.append(f"{e8_count}E8({e8_sign})")
-    text = " + ".join(bits) if bits else "0"
-    return FormClass(rank, signature, "even", tuple(parts), text)
+    return FormClass(rank, signature, "even", " + ".join(bits) if bits else "0")
 
 
 def divisibility(cc: CanonicalClass) -> Divisibility:

@@ -88,7 +88,7 @@ def test_criterion_3_k_squared_identity():
     with criterion(3, "K^2 identity on 200 randomized problems"):
         for problem in randomized_suite():
             check = canonical_square(canonical_class(analyse(problem)), problem)
-            assert check.value == check.target
+            assert check.lhs == check.rhs
 
 
 def test_criterion_4_rank_bookkeeping():

@@ -236,6 +236,23 @@ class TestValidate:
         doc = dict(K3_SUM, M=side)
         assert "omitted embedding rows" in self.hostile(tmp_path, json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("command", ["validate", "compute"])
+    def test_genus_over_cap_exits_2(self, tmp_path, command):
+        # b1 = 0 spells out no embedding cells, yet g = 513 implies a
+        # 1026 x 1026 kernel transform; the rule fires before any reduction.
+        side = {"name": "M", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 12,
+                "K_dot_B": 0, "B_squared": 0, "genus": 513, "k": 1}
+        doc = {"M": side, "N": dict(side, name="N"), "gluing": {"a": [0] * 1026}}
+        path = tmp_path / "genus.json"
+        path.write_text(json.dumps(doc))
+        proc = run_python(["-m", "fibresum.cli", command, str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "invalid input: M: genus = 513 implies 1026 x 1026 cells, more than 1048576; "
+            "N: genus = 513 implies 1026 x 1026 cells, more than 1048576\n"
+        )
+
     def test_t_length_checked(self, tmp_path):
         code, _, err = run(["validate", write_doc(tmp_path, dict(K3_SUM, t=[1, 2, 3]))])
         assert code == 2
@@ -390,6 +407,34 @@ class TestSnf:
         code, out, _ = run(["snf", path])
         assert code == 0
         assert "U =" in out and "diagonal = [2, 4]" in out
+
+    @pytest.mark.parametrize(
+        "matrix, text",
+        [
+            (
+                [[-6, 8], [-8, 8], [-5, -9]],
+                "U =\n  -1 0 1\n  -13 11 -2\n  56 -47 8\n"
+                "D =\n  1 0\n  0 2\n  0 0\n"
+                "V =\n  1 17\n  0 1\n"
+                "diagonal = [1, 2]\nrank = 2\n",
+            ),
+            (
+                [],
+                "U =\n  <empty 0x0>\nD =\n  <empty 0x0>\nV =\n  <empty 0x0>\n"
+                "diagonal = []\nrank = 0\n",
+            ),
+            (
+                [[]],
+                "U =\n  1\nD =\n  <empty 1x0>\nV =\n  <empty 0x0>\n"
+                "diagonal = []\nrank = 0\n",
+            ),
+        ],
+        ids=["3x2", "0x0", "1x0"],
+    )
+    def test_pinned_text(self, tmp_path, matrix, text):
+        code, out, _ = run(["snf", write_doc(tmp_path, matrix, name="matrix.json")])
+        assert code == 0
+        assert out == text
 
     def test_json_round_trip(self, tmp_path):
         path = write_doc(tmp_path, [[10**20, 7], [3, 10**20 + 1]], name="matrix.json")

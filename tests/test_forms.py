@@ -24,7 +24,7 @@ from fibresum import (
     ionel_parker_checks,
     scope_gate,
 )
-from fibresum.forms import InputDataError, NucleusBlock, PBlock, BlockForm
+from fibresum.forms import InputDataError, PBlock, BlockForm
 from helpers import elliptic_problem, make_side, random_scope_problem
 
 
@@ -113,17 +113,17 @@ class TestCanonicalSquare:
     def test_twisted_elliptic(self):
         problem = x_mnp(2, 3, 1)
         check = canonical_square(canonical_class(analyse(problem)), problem)
-        assert check.value == 0 and check.target == 0 and check.ok
+        assert check.lhs == 0 and check.rhs == 0 and check.ok
 
     def test_genus_two(self):
         problem = genus_two_problem()
         check = canonical_square(canonical_class(analyse(problem)), problem)
-        assert check.value == 40 and check.target == 40
+        assert check.lhs == 40 and check.rhs == 40
 
     def test_torus_sums_add_squares(self):
         problem = elliptic_problem(3, 4, a=(0, 0))
         check = canonical_square(canonical_class(analyse(problem)), problem)
-        assert check.value == problem.M.K_squared + problem.N.K_squared
+        assert check.lhs == problem.M.K_squared + problem.N.K_squared
 
 
 class TestBlockForm:
@@ -131,20 +131,20 @@ class TestBlockForm:
         problem = elliptic_problem(2, 2, a=(0, 0))
         bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
         assert (bf.pm_block.rank, bf.pm_block.signature, bf.pm_block.parity) == (20, -16, "even")
-        assert tuple(p.s_sq_parity for p in bf.pair_blocks) == (0, 0)
-        assert bf.nucleus_block.b_sq == -4
+        assert bf.pair_s_sq_parities == (0, 0)
+        assert bf.nucleus_b_sq == -4
         assert bf.rank == 46 and bf.signature == -32
 
     def test_twisted_parities(self):
         problem = elliptic_problem(2, 2, a=(1, 0))
         bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
-        assert tuple(p.s_sq_parity for p in bf.pair_blocks) == (1, 0)
+        assert bf.pair_s_sq_parities == (1, 0)
 
     def test_genus_zero_has_no_pair_blocks(self):
         side = make_side("S", genus=0, b2_plus=2, b2_minus=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
         bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
-        assert bf.pair_blocks == ()
+        assert bf.pair_s_sq_parities == ()
 
 
 class TestClassifyForm:
@@ -166,8 +166,8 @@ class TestClassifyForm:
         bf = BlockForm(
             pm_block=PBlock(0, 0, "even"),
             pn_block=PBlock(0, 0, "even"),
-            pair_blocks=(),
-            nucleus_block=NucleusBlock(b_sq=-4),
+            pair_s_sq_parities=(),
+            nucleus_b_sq=-4,
         )
         cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
         fc = classify_form(bf, cc)
@@ -190,8 +190,8 @@ class TestClassifyForm:
         bf = BlockForm(
             pm_block=PBlock(4, -4, "even"),
             pn_block=PBlock(2, 0, "even"),
-            pair_blocks=(),
-            nucleus_block=NucleusBlock(b_sq=-2),
+            pair_s_sq_parities=(),
+            nucleus_b_sq=-2,
         )
         cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
         with pytest.raises(InputDataError, match="divisible by 8"):
@@ -201,8 +201,8 @@ class TestClassifyForm:
         bf = BlockForm(
             pm_block=PBlock(8, 8, "even"),
             pn_block=PBlock(0, 0, "even"),
-            pair_blocks=(),
-            nucleus_block=NucleusBlock(b_sq=0),
+            pair_s_sq_parities=(),
+            nucleus_b_sq=0,
         )
         cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
         fc = classify_form(bf, cc)
@@ -212,8 +212,8 @@ class TestClassifyForm:
         bf = BlockForm(
             pm_block=PBlock(0, -2, "even"),
             pn_block=PBlock(0, 0, "even"),
-            pair_blocks=(),
-            nucleus_block=NucleusBlock(b_sq=0),
+            pair_s_sq_parities=(),
+            nucleus_b_sq=0,
         )
         cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
         fc = classify_form(bf, cc)

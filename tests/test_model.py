@@ -51,6 +51,12 @@ class TestValidateSide:
         )
         assert any("embedding_free" in v for v in validate_side(side))
 
+    def test_genus_cap(self):
+        assert validate_side(make_side("S", genus=512)) == []
+        assert validate_side(make_side("S", genus=513)) == [
+            f"genus = 513 implies 1026 x 1026 cells, more than {model.MAX_IMPLIED_CELLS}"
+        ]
+
     def test_torsion_moduli_must_match(self):
         side = dataclasses.replace(
             make_side("S", genus=1, h1_torsion=(2,)), embedding_torsion=((3, (0, 0)),)
@@ -184,6 +190,34 @@ class TestParseProblem:
         with pytest.raises(DocumentError) as caught:
             model.parse_side(side, "M")
         assert caught.value.messages == [message]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"embedding_free": [[0, 1]]}, "M: embedding_free must be 2 x 2, got 1 x 2"),
+            ({"p_parity": "mixed"},
+             "M: p_parity must be one of ('even', 'odd', 'unknown'), got 'mixed'"),
+        ],
+        ids=["row_count", "parity"],
+    )
+    def test_side_rules_reported_by_validate_side(self, fields, message):
+        side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
+                "embedding_free": [[0, 1], [1, 0]], **fields}
+        doc = {"M": side, "N": {"catalog": "E", "n": 2}, "gluing": {"a": [0, 0]}}
+        with pytest.raises(DocumentError) as caught:
+            parse_problem(doc)
+        assert caught.value.messages == [message]
+
+    def test_embedding_width_rejected_by_from_rows(self):
+        side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
+                "embedding_free": [[0, 1, 0], [1, 0, 0]]}
+        with pytest.raises(DocumentError) as caught:
+            model.parse_side(side, "M")
+        assert caught.value.messages == [
+            "M.embedding_free: cols does not match row length (b1 = 2, genus = 1)"
+        ]
 
     def test_embedding_int_subclass_accepted(self):
         import enum
