@@ -17,7 +17,6 @@ from fibresum import (
     canonical_square,
     complement_invariants,
     embed_h2,
-    scope_gate,
     validate_problem,
 )
 
@@ -58,7 +57,7 @@ problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((0, 0, 3, -1)))
 assert validate_problem(problem) == []
 
 analysis = analyse(problem)
-print(f"  kernel of the stacked embedding: d = {analysis.d}, basis {analysis.alpha_basis.vectors}")
+print(f"  kernel of the stacked embedding: d = {analysis.d}, basis {analysis.alpha_basis.to_rows()}")
 print(f"  gluing vector in that basis: {analysis.a_adapted}")
 betti = analysis.betti
 print(f"  betti: b1 = {betti.b1}, b2 = {betti.b2}, sigma = {betti.sigma}")
@@ -85,7 +84,7 @@ print()
 print("Torsion and divisible classes gate the forms module:")
 divisible = side("D", genus=2, k=3)
 gated = analyse(FibreSumProblem(M=divisible, N=side("N2"), gluing=GluingClass((0,) * 4)))
-for reason in scope_gate(gated):
+for reason in gated.scope_violations:
     print(f"  - {reason}")
 print("  First homology still works there:", gated.h1)
 inv = complement_invariants(divisible)

@@ -18,7 +18,6 @@ from .engine import (
     analyse,
     complement_invariants,
     phi_action_h1,
-    phi_action_h2,
 )
 from .forms import (
     BlockForm,
@@ -33,10 +32,8 @@ from .forms import (
     divisibility,
     embed_h2,
     ionel_parker_checks,
-    scope_gate,
 )
 from .intlat import (
-    IntBasis,
     IntMatrix,
     SNFDecomposition,
     cokernel_presentation,
@@ -71,7 +68,6 @@ __all__ = [
     "FibreSumProblem",
     "FormClass",
     "GluingClass",
-    "IntBasis",
     "IntMatrix",
     "ManifoldSide",
     "SNFDecomposition",
@@ -96,10 +92,8 @@ __all__ = [
     "normal_form",
     "parse_problem",
     "phi_action_h1",
-    "phi_action_h2",
     "problem_to_dict",
     "rank",
-    "scope_gate",
     "side_to_dict",
     "smith_normal_form",
     "validate_problem",

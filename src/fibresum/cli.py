@@ -68,21 +68,10 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
             "gluing": {"a": list(problem.gluing.a)},
             "t_supplied": None if problem.t is None else list(problem.t),
             "t_effective": list(analysis.t_effective),
-            "alpha_basis": [list(v) for v in analysis.alpha_basis.vectors],
+            "alpha_basis": analysis.alpha_basis.to_rows(),
             "a_adapted": list(analysis.a_adapted),
         },
-        "betti": {
-            "b0": betti.b0,
-            "b1": betti.b1,
-            "b2": betti.b2,
-            "b3": betti.b3,
-            "b4": betti.b4,
-            "b2_plus": betti.b2_plus,
-            "b2_minus": betti.b2_minus,
-            "e": betti.e,
-            "sigma": betti.sigma,
-            "d": betti.d,
-        },
+        "betti": dict(vars(betti)),
         "h1": _group_dict(analysis.h1),
         "rim_tori": _group_dict(analysis.rim_tori),
         "split_classes": [
@@ -103,9 +92,9 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
         }
     }
 
-    gate = forms.scope_gate(analysis)
+    gate = analysis.scope_violations
     if gate:
-        report["forms"] = {"skipped": gate}
+        report["forms"] = {"skipped": list(gate)}
         warnings.extend(f"forms skipped: {msg}" for msg in gate)
     elif not include_forms:
         report["forms"] = {"skipped": ["disabled by --no-forms"]}
@@ -113,30 +102,15 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
         cc = forms.canonical_class(analysis)
         bf = forms.assemble_intersection_form(analysis, cc)
         try:
-            fc = forms.classify_form(bf, cc)
-            form_class: dict[str, Any] = {
-                "rank": fc.rank,
-                "signature": fc.signature,
-                "parity": fc.parity,
-                "decomposition": fc.decomposition,
-            }
+            form_class = dict(vars(forms.classify_form(bf, cc)))
         except forms.UnknownParityError as exc:
             form_class = {"unavailable": str(exc)}
-        div = forms.divisibility(cc)
         k_sq = forms.canonical_square(cc, problem)
         ip = forms.ionel_parker_checks(problem, cc)
         report["forms"] = {
             "block_form": {
-                "pm": {
-                    "rank": bf.pm_block.rank,
-                    "signature": bf.pm_block.signature,
-                    "parity": bf.pm_block.parity,
-                },
-                "pn": {
-                    "rank": bf.pn_block.rank,
-                    "signature": bf.pn_block.signature,
-                    "parity": bf.pn_block.parity,
-                },
+                "pm": dict(vars(bf.pm_block)),
+                "pn": dict(vars(bf.pn_block)),
                 "pair_s_sq_parities": list(bf.pair_s_sq_parities),
                 "nucleus_b_sq": bf.nucleus_b_sq,
                 "rank": bf.rank,
@@ -154,7 +128,7 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
                 "kbar_m": {"square": cc.kbar_m_sq, "divisibility": cc.kbar_m_div},
                 "kbar_n": {"square": cc.kbar_n_sq, "divisibility": cc.kbar_n_div},
             },
-            "divisibility": {"value": div.value, "exact": div.exact},
+            "divisibility": dict(vars(forms.divisibility(cc))),
         }
         checks["k_squared"] = {"value": k_sq.lhs, "target": k_sq.rhs, "pass": k_sq.ok}
         checks["ionel_parker"] = [

@@ -3,8 +3,8 @@
 Everything here reduces to exact kernel/cokernel computations over Z:
 the Betti numbers of the sum, its first homology as the cokernel of the
 combined embedding-plus-gluing map, the rim-tori and split-class groups,
-the action of the gluing diffeomorphism on the homology of the boundary
-three-manifold, and the invariants of a single complement.
+the action of the gluing diffeomorphism on the first homology of the
+boundary three-manifold, and the invariants of a single complement.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import abgroups, intlat, model
 from .abgroups import AbGroup
-from .intlat import IntBasis, IntMatrix
+from .intlat import IntMatrix
 from .model import BettiNumbers, FibreSumProblem, ManifoldSide
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "SumAnalysis",
     "analyse",
     "phi_action_h1",
-    "phi_action_h2",
     "complement_invariants",
 ]
 
@@ -69,21 +68,21 @@ class SplitClass:
 class SumAnalysis:
     """The homology of one fibre sum, computed once by :func:`analyse`.
 
-    ``alpha_basis`` is the canonical saturated basis of the kernel of the
-    stacked embedding, in gamma coordinates (ambient dimension 2g), and
-    ``d`` its length; every t-vector and the adapted gluing vector
+    ``alpha_basis`` is the d x 2g matrix whose rows are the canonical
+    saturated basis of the kernel of the stacked embedding, in gamma
+    coordinates; every t-vector and the adapted gluing vector
     ``a_adapted`` (pairings of the gluing class with the basis vectors)
     are expressed in its ordering.  ``h1_cohom_rank`` is the rank of H^1
     of the sum, ``rim_tori`` the rim-tori group, and ``split_classes`` a
     basis of the rank d + 1 group of split classes.
     ``scope_violations`` lists the hypotheses of the forms module that the
-    sum breaks (see ``forms.scope_gate``); it is empty exactly when the
-    intersection form and canonical class are defined.
+    sum breaks; it is empty exactly when the intersection form and
+    canonical class are defined.
     """
 
     problem: FibreSumProblem
     d: int
-    alpha_basis: IntBasis
+    alpha_basis: IntMatrix
     a_adapted: tuple[int, ...]
     betti: BettiNumbers
     h1: AbGroup
@@ -121,14 +120,13 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     M, N = problem.M, problem.N
     stacked = model.stacked_free_embedding(problem)
     alpha_basis, coker = intlat.kernel_and_cokernel(stacked)
-    for vec in alpha_basis.vectors:
+    for vec in alpha_basis.to_rows():
         if any(stacked.mul_vector(vec)):
             raise AssertionError(f"alpha basis vector {vec} is not in the kernel of the embedding")
-    d = len(alpha_basis)
+    d = alpha_basis.rows
     if problem.t is not None and len(problem.t) != d:
         raise model.DocumentError([f"t must have length d = {d}, got {len(problem.t)}"])
-    a = problem.gluing.a
-    a_adapted = tuple(sum(ai * vi for ai, vi in zip(a, vec)) for vec in alpha_basis.vectors)
+    a_adapted = alpha_basis.mul_vector(problem.gluing.a)
     meridian_dies = not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
     h1 = coker if meridian_dies else _first_homology(problem)
     return SumAnalysis(
@@ -223,7 +221,7 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
             classes.append(SplitClass(0, ai, unit))
     else:
         defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a_adapted)]], cols=2 + d)
-        classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in intlat.kernel_basis(defining).vectors]
+        classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in intlat.kernel_basis(defining).to_rows()]
     for c in classes:
         value = c.b_m * k_m + c.b_n * k_n - sum(x * y for x, y in zip(a_adapted, c.alpha))
         if value != 0:
@@ -236,28 +234,15 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
 def phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:
     """Action of the gluing diffeomorphism on H_1 of the boundary, in the
     basis (gamma_1, ..., gamma_2g, sigma): each gamma_i picks up a_i
-    meridians and the meridian reverses sign."""
+    meridians and the meridian reverses sign.  Images are columns: column
+    j is the image of basis element j, so gamma_i maps to column i,
+    gamma_i + a_i*sigma, and sigma to the last column, -sigma."""
     a = tuple(int(x) for x in a)
     if len(a) != 2 * g:
         raise ValueError(f"expected a vector of length 2g = {2 * g}, got {len(a)}")
     n = 2 * g + 1
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(2 * g)]
     rows.append([*a, -1])
-    return IntMatrix.from_rows(rows, cols=n)
-
-
-def phi_action_h2(g: int, a: Sequence[int]) -> IntMatrix:
-    """Action on H_2 of the boundary in the basis (Gamma_1, ...,
-    Gamma_2g, Sigma): the rim classes reverse sign and the surface class
-    picks up -a_i rim classes."""
-    a = tuple(int(x) for x in a)
-    if len(a) != 2 * g:
-        raise ValueError(f"expected a vector of length 2g = {2 * g}, got {len(a)}")
-    n = 2 * g + 1
-    rows = [[-1 if i == j else 0 for j in range(n)] for i in range(2 * g)]
-    for i in range(2 * g):
-        rows[i][n - 1] = -a[i]
-    rows.append([0] * (2 * g) + [1])
     return IntMatrix.from_rows(rows, cols=n)
 
 

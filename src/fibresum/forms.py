@@ -2,8 +2,9 @@
 
 Valid only when both surfaces are indivisible (k = 1 on both sides) and
 the integral cohomology of both sides and of the sum is torsion free;
-:func:`scope_gate` reports exactly that.  Under those hypotheses the second
-cohomology of the sum splits into the two perpendicular blocks, d
+``SumAnalysis.scope_violations`` lists the ones a sum breaks.  Under
+those hypotheses the second cohomology of the sum splits into the two
+perpendicular blocks, d
 hyperbolic-like pair blocks spanned by a split class and a rim torus, and
 the nucleus spanned by the sewn dual surface and the surface push-off.
 :class:`BlockForm` holds the numbers of that block sum; every identity the
@@ -35,7 +36,6 @@ __all__ = [
     "Divisibility",
     "CheckLine",
     "EmbeddedClass",
-    "scope_gate",
     "canonical_class",
     "canonical_square",
     "assemble_intersection_form",
@@ -177,12 +177,6 @@ class EmbeddedClass:
     b_x: int
     sigma: int
     sigma_basis: str
-
-
-def scope_gate(analysis: SumAnalysis) -> list[str]:
-    """Violations of the forms-module hypotheses; empty means in scope.
-    ``engine.analyse`` evaluates them once per sum."""
-    return list(analysis.scope_violations)
 
 
 def _require_scope(analysis: SumAnalysis) -> None:

@@ -40,7 +40,6 @@ from .abgroups import AbGroup
 __all__ = [
     "IntMatrix",
     "SNFDecomposition",
-    "IntBasis",
     "smith_normal_form",
     "rank",
     "kernel_basis",
@@ -231,28 +230,6 @@ class SNFDecomposition:
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
-
-
-@dataclass(frozen=True)
-class IntBasis:
-    """Vectors spanning a saturated subgroup (a direct summand) of Z^n."""
-
-    ambient_dim: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        vectors = tuple(tuple(int(x) for x in v) for v in self.vectors)
-        for v in vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector has wrong length")
-        object.__setattr__(self, "vectors", vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def matrix(self) -> IntMatrix:
-        """The len(self) x ambient_dim matrix whose rows are the vectors."""
-        return IntMatrix.from_rows([list(v) for v in self.vectors], cols=self.ambient_dim)
 
 
 def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
@@ -543,7 +520,7 @@ def _full_rank_modulo(
     return False
 
 
-def kernel_and_cokernel(A: IntMatrix) -> tuple[IntBasis, AbGroup]:
+def kernel_and_cokernel(A: IntMatrix) -> tuple[IntMatrix, AbGroup]:
     """The kernel basis of :func:`kernel_basis` and the cokernel of
     :func:`cokernel_presentation`, from at most one reduction of A.
 
@@ -553,15 +530,16 @@ def kernel_and_cokernel(A: IntMatrix) -> tuple[IntBasis, AbGroup]:
     reduction would give.
     """
     if _unit_invariant_factors(A):
-        return IntBasis(A.cols, ()), AbGroup(A.rows - A.cols, ())
+        return IntMatrix(0, A.cols, ()), AbGroup(A.rows - A.cols, ())
     d, _, v = _reduce(A, track_v=True)
     cokernel = _cokernel(A, d)
     vecs = [[row[j] for row in v] for j in range(A.rows - cokernel.free_rank, A.cols)]
-    return IntBasis(A.cols, tuple(tuple(row) for row in _hnf_rows(vecs, A.cols))), cokernel
+    return IntMatrix.from_rows(_hnf_rows(vecs, A.cols), cols=A.cols), cokernel
 
 
-def kernel_basis(A: IntMatrix) -> IntBasis:
-    """Saturated basis of ``{ v : A @ v = 0 }`` inside Z^cols.
+def kernel_basis(A: IntMatrix) -> IntMatrix:
+    """Saturated basis of ``{ v : A @ v = 0 }`` inside Z^cols, as the rows
+    of a ``d x cols`` matrix.
 
     The kernel of a map into a free group is automatically a direct
     summand; the basis returned is the canonical echelon form of the

@@ -15,7 +15,7 @@ documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 from .abgroups import AbGroup
@@ -214,6 +214,8 @@ def validate_side(side: ManifoldSide) -> list[str]:
             v.append(f"embedding_torsion[{idx}].row must have length {two_g}, got {len(row)}")
     if side.p_parity not in PARITIES:
         v.append(f"p_parity must be one of {PARITIES}, got {side.p_parity!r}")
+    elif side.p_parity == "even" and side.signature % 8:
+        v.append(f"an even p_parity needs sigma = 0 (mod 8), got sigma = {side.signature}")
     if side.kbar_divisibility is not None and side.kbar_divisibility < 0:
         v.append("kbar_divisibility must be nonnegative or unknown")
     return v
@@ -273,14 +275,7 @@ def elliptic_surface(n: int) -> ManifoldSide:
 # -- document schema ---------------------------------------------------------
 
 _SIDE_REQUIRED = ("b1", "b2_plus", "b2_minus", "K_squared", "K_dot_B", "B_squared", "genus", "k")
-_SIDE_OPTIONAL = (
-    "name",
-    "h1_torsion",
-    "embedding_free",
-    "embedding_torsion",
-    "p_parity",
-    "kbar_divisibility",
-)
+_SIDE_OPTIONAL = tuple(f.name for f in fields(ManifoldSide) if f.name not in _SIDE_REQUIRED)
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -322,8 +317,8 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     if missing:
         raise DocumentError([f"{where}: missing required field(s) {missing}"])
 
-    b1 = _as_int(doc["b1"], f"{where}.b1")
-    genus = _as_int(doc["genus"], f"{where}.genus")
+    required = {key: _as_int(doc[key], f"{where}.{key}") for key in _SIDE_REQUIRED}
+    b1, genus = required["b1"], required["genus"]
     two_g = 2 * genus
 
     h1_torsion = tuple(_as_int_list(doc.get("h1_torsion", []), f"{where}.h1_torsion"))
@@ -378,19 +373,12 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
 
     return ManifoldSide(
         name=name,
-        b1=b1,
         h1_torsion=h1_torsion,
-        b2_plus=_as_int(doc["b2_plus"], f"{where}.b2_plus"),
-        b2_minus=_as_int(doc["b2_minus"], f"{where}.b2_minus"),
-        K_squared=_as_int(doc["K_squared"], f"{where}.K_squared"),
-        K_dot_B=_as_int(doc["K_dot_B"], f"{where}.K_dot_B"),
-        B_squared=_as_int(doc["B_squared"], f"{where}.B_squared"),
-        genus=genus,
-        k=_as_int(doc["k"], f"{where}.k"),
         embedding_free=embedding_free,
         embedding_torsion=embedding_torsion,
         p_parity=doc.get("p_parity", "unknown"),
         kbar_divisibility=kbar,
+        **required,
     )
 
 
@@ -433,24 +421,13 @@ def parse_problem(document: Any) -> FibreSumProblem:
 
 
 def side_to_dict(side: ManifoldSide) -> dict[str, Any]:
-    return {
-        "name": side.name,
-        "b1": side.b1,
-        "h1_torsion": list(side.h1_torsion),
-        "b2_plus": side.b2_plus,
-        "b2_minus": side.b2_minus,
-        "K_squared": side.K_squared,
-        "K_dot_B": side.K_dot_B,
-        "B_squared": side.B_squared,
-        "genus": side.genus,
-        "k": side.k,
-        "embedding_free": side.embedding_free.to_rows(),
-        "embedding_torsion": [
-            {"modulus": m, "row": list(row)} for m, row in side.embedding_torsion
-        ],
-        "p_parity": side.p_parity,
-        "kbar_divisibility": side.kbar_divisibility,
-    }
+    """The side's fields under their own names, as JSON values."""
+    return dict(
+        vars(side),
+        h1_torsion=list(side.h1_torsion),
+        embedding_free=side.embedding_free.to_rows(),
+        embedding_torsion=[{"modulus": m, "row": list(row)} for m, row in side.embedding_torsion],
+    )
 
 
 def problem_to_dict(problem: FibreSumProblem) -> dict[str, Any]:

@@ -20,7 +20,6 @@ from fibresum import (
     analyse,
     cokernel_presentation,
     elliptic_surface,
-    scope_gate,
     validate_problem,
 )
 
@@ -170,7 +169,7 @@ def random_scope_problem(
         side_n = random_valid_side(rng, "N", genus, b1_max=b1_max, entry_bound=entry_bound)
         a = tuple(rng.randint(-a_bound, a_bound) for _ in range(2 * genus))
         problem = FibreSumProblem(M=side_m, N=side_n, gluing=GluingClass(a), t=None)
-        if validate_problem(problem) or scope_gate(analyse(problem)):
+        if validate_problem(problem) or analyse(problem).scope_violations:
             continue
         if with_t and rng.random() < 0.5:
             stacked = IntMatrix.vstack([side_m.embedding_free, side_n.embedding_free])

@@ -2,14 +2,16 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibresum import cli, forms, intlat, model
-from fibresum.intlat import IntBasis
-from helpers import run_python
+from fibresum.intlat import IntMatrix
+from fibresum.model import FibreSumProblem, GluingClass
+from helpers import make_side, run_python
 
 K3_SUM = {
     "M": {"catalog": "E", "n": 2},
@@ -19,7 +21,8 @@ K3_SUM = {
 
 E2_UNKNOWN_PARITY = dict(model.side_to_dict(model.elliptic_surface(2)), p_parity="unknown")
 
-# Even parity on both sides with total signature -18, not divisible by 8.
+# Side M declares an even form of signature -2, so the total of -18 is
+# not divisible by 8 either.
 EVEN_SIGNATURE_18 = {
     "M": {
         "name": "P", "b1": 0, "b2_plus": 2, "b2_minus": 4, "K_squared": 10,
@@ -28,6 +31,49 @@ EVEN_SIGNATURE_18 = {
     "N": {"catalog": "E", "n": 2},
     "gluing": {"a": [0, 0]},
 }
+
+
+# An in-scope side with one curve of its own and d = 1 against E(2).
+ONE_CURVE_SUM = {
+    "M": {
+        "b1": 1, "b2_plus": 2, "b2_minus": 2, "K_squared": 8, "K_dot_B": 0,
+        "B_squared": 0, "genus": 1, "k": 1, "embedding_free": [[1, 0]],
+    },
+    "N": {"catalog": "E", "n": 2},
+    "gluing": {"a": [3, 5]},
+}
+
+# A side with Z/2 in H_1 whose torsion row is nonzero; forms are gated.
+TORSION_SUM = {
+    "M": {
+        "name": "T", "b1": 1, "h1_torsion": [2], "b2_plus": 2, "b2_minus": 2,
+        "K_squared": 8, "K_dot_B": 1, "B_squared": -1, "genus": 1, "k": 1,
+        "embedding_free": [[0, 1]],
+        "embedding_torsion": [{"modulus": 2, "row": [1, 0]}],
+        "p_parity": "odd", "kbar_divisibility": "unknown",
+    },
+    "N": {"catalog": "E", "n": 3},
+    "gluing": {"a": [1, 2]},
+}
+
+# Outputs the golden corpus does not reach, pinned byte for byte under
+# tests/data/cli/: name -> (argv with "{doc}" for the document, document,
+# exit code).
+PINNED_CLI = {
+    "catalog_E1": (["catalog", "E", "1"], None, 0),
+    "catalog_E4": (["catalog", "E", "4"], None, 0),
+    "compute_unknown_parity_text": (["compute", "{doc}"], dict(K3_SUM, M=E2_UNKNOWN_PARITY), 0),
+    "compute_unknown_parity_json": (
+        ["compute", "{doc}", "--format", "json"], dict(K3_SUM, M=E2_UNKNOWN_PARITY), 0
+    ),
+    "compute_no_forms_json": (["compute", "{doc}", "--no-forms", "--format", "json"], ONE_CURVE_SUM, 0),
+    "batch_one_invalid_json": (
+        ["batch", "{doc}", "--format", "json"],
+        [ONE_CURVE_SUM, {"M": {"catalog": "E", "n": 2}}, TORSION_SUM],
+        2,
+    ),
+}
+PINNED_DIR = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def run(argv):
@@ -166,12 +212,19 @@ class TestCompute:
         assert report["forms"]["block_form"]["pm"]["parity"] == "unknown"
 
     def test_other_input_data_error_propagates(self, tmp_path):
+        # The same side, built by hand so that no validation runs, reaches
+        # the classification, which refuses it.
+        side = make_side("P", genus=1, b2_plus=2, b2_minus=4, p_parity="even")
+        problem = FibreSumProblem(M=side, N=model.elliptic_surface(2), gluing=GluingClass((0, 0)))
         with pytest.raises(forms.InputDataError, match="divisible by 8") as info:
-            cli.build_report(model.parse_problem(EVEN_SIGNATURE_18))
+            cli.build_report(problem)
         assert not isinstance(info.value, forms.UnknownParityError)
-        code, _, err = run(["compute", write_doc(tmp_path, EVEN_SIGNATURE_18)])
-        assert code == 2
-        assert "not divisible by 8" in err
+        # From a document, validate and compute both refuse it.
+        path = write_doc(tmp_path, EVEN_SIGNATURE_18)
+        for command in ("validate", "compute"):
+            code, out, err = run([command, path])
+            assert (code, out) == (2, "")
+            assert err == "invalid input: M: an even p_parity needs sigma = 0 (mod 8), got sigma = -2\n"
 
     def test_alpha_basis_outside_kernel_maps_to_exit_3(self, tmp_path, monkeypatch):
         doc = dict(K3_SUM)
@@ -182,7 +235,7 @@ class TestCompute:
         path = write_doc(tmp_path, doc)
         assert run(["compute", path])[0] == 0
         original = intlat.kernel_and_cokernel
-        monkeypatch.setattr(intlat, "kernel_and_cokernel", lambda A: (IntBasis(2, ((1, 0),)), original(A)[1]))
+        monkeypatch.setattr(intlat, "kernel_and_cokernel", lambda A: (IntMatrix.from_rows([[1, 0]]), original(A)[1]))
         code, _, err = run(["compute", path])
         assert code == 3
         assert "not in the kernel" in err
@@ -365,7 +418,7 @@ class TestBatch:
 
         def outside_kernel(A):
             basis, coker = original(A)
-            return (IntBasis(2, ((1, 0),)), coker) if A.rows else (basis, coker)
+            return (IntMatrix.from_rows([[1, 0]]), coker) if A.rows else (basis, coker)
 
         monkeypatch.setattr(intlat, "kernel_and_cokernel", outside_kernel)
         path = write_doc(tmp_path, docs)
@@ -379,6 +432,16 @@ class TestBatch:
         code, out, _ = run(["batch", path])
         assert code == 3
         assert "--- problem 1: internal" in out and "--- problem 2: error" in out
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(PINNED_CLI))
+    def test_bytes(self, tmp_path, name):
+        argv, doc, exit_code = PINNED_CLI[name]
+        argv = [write_doc(tmp_path, doc) if arg == "{doc}" else arg for arg in argv]
+        code, out, err = run(argv)
+        assert (code, err) == (exit_code, "")
+        assert out == (PINNED_DIR / f"{name}.txt").read_text()
 
 
 class TestSnf:

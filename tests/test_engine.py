@@ -17,7 +17,6 @@ from fibresum import (
     elliptic_surface,
     is_isomorphic,
     phi_action_h1,
-    phi_action_h2,
 )
 from helpers import (
     elliptic_problem,
@@ -39,7 +38,7 @@ class TestKernelData:
     def test_elliptic(self):
         kd = analyse(elliptic_problem(2, 3, a=(5, -1)))
         assert kd.d == 2
-        assert kd.alpha_basis.vectors == ((1, 0), (0, 1))
+        assert kd.alpha_basis == IntMatrix.from_rows([[1, 0], [0, 1]])
         assert kd.a_adapted == (5, -1)
 
     def test_injective_embeddings(self):
@@ -47,7 +46,7 @@ class TestKernelData:
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0)))
         kd = analyse(problem)
         assert kd.d == 0
-        assert kd.alpha_basis.vectors == ()
+        assert kd.alpha_basis == IntMatrix(0, 2, ())
 
     def test_mixed_rank(self):
         m_side = make_side("M", genus=1, b1=1, embedding=IntMatrix.from_rows([[1, 0]]))
@@ -55,7 +54,7 @@ class TestKernelData:
         problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((5, 7)))
         kd = analyse(problem)
         assert kd.d == 1
-        assert kd.alpha_basis.vectors == ((0, 1),)
+        assert kd.alpha_basis == IntMatrix.from_rows([[0, 1]])
         assert kd.a_adapted == (7,)
 
 
@@ -370,25 +369,24 @@ class TestPhiAction:
             a = tuple(rng.randint(-9, 9) for _ in range(2 * g))
             assert phi_action_h1(g, a).det() == -1
 
-    def test_h2_trivial_gluing(self):
-        assert phi_action_h2(1, (0, 0)) == IntMatrix.from_rows(
-            [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
-        )
-
-    def test_h2_twisted(self):
-        assert phi_action_h2(1, (1, 2)) == IntMatrix.from_rows(
-            [[-1, 0, -1], [0, -1, -2], [0, 0, 1]]
-        )
-
     def test_pairing_reversed(self):
         # The boundary is glued by an orientation-reversing map, so the
-        # intersection pairing J between H_2 and H_1 changes sign.
+        # intersection pairing J between H_2 and H_1 changes sign.  On H_2,
+        # in the basis (Gamma_1, ..., Gamma_2g, Sigma) dual to the H_1
+        # basis, the rim classes reverse sign and Sigma picks up -a_i rim
+        # classes; images are columns, as for H_1.
         rng = random.Random(9)
         for _ in range(20):
             g = rng.randint(0, 4)
             a = tuple(rng.randint(-9, 9) for _ in range(2 * g))
-            pairing = IntMatrix.identity(2 * g + 1)
-            lhs = phi_action_h2(g, a).transpose() @ pairing @ phi_action_h1(g, a)
+            n = 2 * g + 1
+            h2 = IntMatrix.from_rows(
+                [[-1 if i == j else 0 for j in range(2 * g)] + [-a[i]] for i in range(2 * g)]
+                + [[0] * (2 * g) + [1]],
+                cols=n,
+            )
+            pairing = IntMatrix.identity(n)
+            lhs = h2.transpose() @ pairing @ phi_action_h1(g, a)
             assert lhs == -pairing
 
     def test_length_checked(self):

@@ -22,7 +22,6 @@ from fibresum import (
     elliptic_surface,
     embed_h2,
     ionel_parker_checks,
-    scope_gate,
 )
 from fibresum.forms import InputDataError, PBlock, BlockForm
 from helpers import elliptic_problem, make_side, random_scope_problem
@@ -40,24 +39,24 @@ def genus_two_problem():
 
 class TestScopeGate:
     def test_elliptic_in_scope(self):
-        assert scope_gate(analyse(elliptic_problem(2, 2))) == []
+        assert analyse(elliptic_problem(2, 2)).scope_violations == ()
 
     def test_divisible_class_gated(self):
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        assert any("divisible" in v for v in scope_gate(analyse(problem)))
+        assert any("divisible" in v for v in analyse(problem).scope_violations)
 
     def test_side_torsion_gated(self):
         side = make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),))
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        assert any("torsion" in v for v in scope_gate(analyse(problem)))
+        assert any("torsion" in v for v in analyse(problem).scope_violations)
 
     def test_sum_torsion_gated(self):
         # Torsion-free sides whose sum acquires Z/2 from an even embedding.
         side = make_side("M", genus=1, b1=1, embedding=IntMatrix.from_rows([[2, 0]]))
         other = make_side("N", genus=1)
         problem = FibreSumProblem(M=side, N=other, gluing=GluingClass((0, 0)))
-        assert any("sum has torsion" in v for v in scope_gate(analyse(problem)))
+        assert any("sum has torsion" in v for v in analyse(problem).scope_violations)
 
     def test_one_evaluation_per_report(self, monkeypatch):
         verdicts = []

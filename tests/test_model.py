@@ -57,6 +57,17 @@ class TestValidateSide:
             f"genus = 513 implies 1026 x 1026 cells, more than {model.MAX_IMPLIED_CELLS}"
         ]
 
+    def test_even_parity_needs_signature_divisible_by_8(self):
+        # An even unimodular form has signature = 0 (mod 8).
+        assert validate_side(make_side("P", genus=1, b2_plus=2, b2_minus=10, p_parity="even")) == []
+        for sigma_minus in (4, 6, 7):
+            side = make_side("P", genus=1, b2_plus=2, b2_minus=sigma_minus, p_parity="even")
+            assert validate_side(side) == [
+                f"an even p_parity needs sigma = 0 (mod 8), got sigma = {2 - sigma_minus}"
+            ]
+            assert validate_side(dataclasses.replace(side, p_parity="odd")) == []
+            assert validate_side(dataclasses.replace(side, p_parity="unknown")) == []
+
     def test_torsion_moduli_must_match(self):
         side = dataclasses.replace(
             make_side("S", genus=1, h1_torsion=(2,)), embedding_torsion=((3, (0, 0)),)
