@@ -37,8 +37,7 @@ from .intlat import (
     IntMatrix,
     SNFDecomposition,
     cokernel_presentation,
-    kernel_basis,
-    rank,
+    kernel_and_cokernel,
     smith_normal_form,
 )
 from .model import (
@@ -88,12 +87,11 @@ __all__ = [
     "ionel_parker_checks",
     "is_isomorphic",
     "is_torsion_free",
-    "kernel_basis",
+    "kernel_and_cokernel",
     "normal_form",
     "parse_problem",
     "phi_action_h1",
     "problem_to_dict",
-    "rank",
     "side_to_dict",
     "smith_normal_form",
     "validate_problem",

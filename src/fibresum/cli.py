@@ -353,11 +353,11 @@ def cmd_validate(args, stdout, stderr) -> int:
 
 
 def cmd_catalog(args, stdout, stderr) -> int:
-    if args.name != "E":
-        stderr.write(f"unknown catalog {args.name!r} (supported: 'E')\n")
+    if args.name not in model.CATALOG:
+        stderr.write(f"unknown catalog {args.name!r} (supported: {model.CATALOG_NAMES})\n")
         return EXIT_INVALID
     try:
-        side = model.elliptic_surface(args.n)
+        side = model.CATALOG[args.name](args.n)
     except ValueError as exc:
         stderr.write(f"{exc}\n")
         return EXIT_INVALID
@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate.set_defaults(func=cmd_validate)
 
     p_catalog = sub.add_parser("catalog", help="print a catalog side document")
-    p_catalog.add_argument("name", help="catalog family name (supported: E)")
+    p_catalog.add_argument("name", help=f"catalog family name (supported: {', '.join(model.CATALOG)})")
     p_catalog.add_argument("n", type=int)
     p_catalog.set_defaults(func=cmd_catalog)
 

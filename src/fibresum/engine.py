@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import abgroups, intlat, model
 from .abgroups import AbGroup
-from .intlat import IntMatrix
+from .intlat import IntMatrix, as_ints
 from .model import BettiNumbers, FibreSumProblem, ManifoldSide
 
 __all__ = [
@@ -81,7 +81,6 @@ class SumAnalysis:
     """
 
     problem: FibreSumProblem
-    d: int
     alpha_basis: IntMatrix
     a_adapted: tuple[int, ...]
     betti: BettiNumbers
@@ -90,6 +89,11 @@ class SumAnalysis:
     rim_tori: AbGroup
     split_classes: tuple[SplitClass, ...]
     scope_violations: tuple[str, ...]
+
+    @property
+    def d(self) -> int:
+        """The rank of the kernel of the stacked embedding."""
+        return self.alpha_basis.rows
 
     @property
     def t_effective(self) -> tuple[int, ...]:
@@ -131,7 +135,6 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     h1 = coker if meridian_dies else _first_homology(problem)
     return SumAnalysis(
         problem=problem,
-        d=d,
         alpha_basis=alpha_basis,
         a_adapted=a_adapted,
         betti=_betti_numbers(problem, d),
@@ -221,7 +224,8 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
             classes.append(SplitClass(0, ai, unit))
     else:
         defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a_adapted)]], cols=2 + d)
-        classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in intlat.kernel_basis(defining).to_rows()]
+        kernel = intlat.kernel_and_cokernel(defining)[0]
+        classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in kernel.to_rows()]
     for c in classes:
         value = c.b_m * k_m + c.b_n * k_n - sum(x * y for x, y in zip(a_adapted, c.alpha))
         if value != 0:
@@ -237,7 +241,7 @@ def phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:
     meridians and the meridian reverses sign.  Images are columns: column
     j is the image of basis element j, so gamma_i maps to column i,
     gamma_i + a_i*sigma, and sigma to the last column, -sigma."""
-    a = tuple(int(x) for x in a)
+    a = as_ints(a, "gluing vector entries")
     if len(a) != 2 * g:
         raise ValueError(f"expected a vector of length 2g = {2 * g}, got {len(a)}")
     n = 2 * g + 1
@@ -256,7 +260,7 @@ def complement_invariants(side: ManifoldSide) -> ComplementInvariants:
     universal coefficients.
     """
     h1 = abgroups.normal_form(side.b1, side.h1_torsion + (side.k,))
-    ker_i_rank = 2 * side.genus - intlat.rank(side.embedding_free)
+    ker_i_rank = 2 * side.genus - side.b1 + intlat.cokernel_presentation(side.embedding_free).free_rank
     h2_rank = (side.b2 - 1) + ker_i_rank
     return ComplementInvariants(
         h1=h1,

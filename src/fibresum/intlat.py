@@ -3,37 +3,37 @@
 Matrices carry arbitrary-precision Python ints, so the coefficient growth
 that occurs during Smith reduction can never overflow.  All values are
 immutable and all operations are pure functions; concurrent use needs no
-coordination.
+coordination.  :func:`as_ints` is the one rule for integer inputs.
 
 Every Smith reduction here runs one deterministic pivot loop, so every
 result can be tested byte for byte.  The loop clears with least absolute
 remainders and promotes the smallest surviving remainder (Havas and
 Majewski, "Integer matrix diagonalization", J. Symb. Comput. 1997), which
 keeps the number of Euclid rounds and the growth of the transforms down.
-Each caller tracks only the transforms it reads: :func:`smith_normal_form`
-tracks U and V, :func:`kernel_basis` and :func:`kernel_and_cokernel` track
-V alone, and :func:`rank` and :func:`cokernel_presentation` track neither.
+Each answer has one function, which tracks only the transforms it reads:
+:func:`smith_normal_form` U and V, :func:`kernel_and_cokernel` V alone,
+:func:`cokernel_presentation` (rank A = A.rows - its free rank) neither.
 D, every kernel basis (canonicalised by HNF) and every cokernel do not
 depend on the pivot rule; only U and V do.
 
-:func:`kernel_and_cokernel`, and so :func:`kernel_basis`, skips the
-reduction exactly when a tall A has full column rank and every invariant
-factor 1, that is when d_n, the gcd of its maximal minors, is 1 (Kannan
-and Bachem, SIAM J. Comput. 1979).  :func:`_unit_invariant_factors`
-decides this from one fraction-free elimination (Bareiss, Math. Comp.
-1968): by Sylvester's identity, each further row, carried through it at
-O(n^2), gives a maximal minor with every row before it at O(1) each.  A
-gcd of these minors that stays above 1 is settled by an elimination
-modulo it, split into coprime parts at each zero divisor.  The kernel is
-then 0 and the cokernel free, which is what the reduction returns, so the
-result does not depend on which path ran.
+:func:`kernel_and_cokernel` skips the reduction exactly when a tall A has
+full column rank and every invariant factor 1, that is when d_n, the gcd
+of its maximal minors, is 1 (Kannan and Bachem, SIAM J. Comput. 1979).
+:func:`_unit_invariant_factors` decides this from one fraction-free
+elimination (Bareiss, Math. Comp. 1968): by Sylvester's identity, each
+further row, carried through it at O(n^2), gives a maximal minor with
+every row before it at O(1) each.  A gcd of these minors that stays above
+1 is settled by an elimination modulo it, split into coprime parts at
+each zero divisor.  The kernel is then 0 and the cokernel free, which is
+what the reduction returns, so the result does not depend on which path
+ran.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .abgroups import AbGroup
 
@@ -41,11 +41,21 @@ __all__ = [
     "IntMatrix",
     "SNFDecomposition",
     "smith_normal_form",
-    "rank",
-    "kernel_basis",
     "kernel_and_cokernel",
     "cokernel_presentation",
 ]
+
+
+def as_ints(values: Iterable[Any], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, or ValueError naming the first bool, float,
+    str or other non-int entry; int subclasses such as IntEnum pass."""
+    values = tuple(values)
+    # One C-level scan passes the all-int case; the loop names the culprit.
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{what} must be ints, got {x!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -63,17 +73,11 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(self.entries)
+        entries = as_ints(self.entries, "matrix entries")
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(entries)}"
             )
-        # One C-level scan passes the all-int case; the loop names the culprit
-        # and still admits int subclasses such as IntEnum.
-        if not {int}.issuperset(map(type, entries)):
-            for e in entries:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise ValueError(f"matrix entries must be ints, got {e!r}")
         object.__setattr__(self, "entries", entries)
 
     # -- constructors ------------------------------------------------------
@@ -95,10 +99,6 @@ class IntMatrix:
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -117,20 +117,6 @@ class IntMatrix:
             rows += b.rows
         return cls(rows, cols, tuple(flat))
 
-    @classmethod
-    def block_diag(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[0] * cols for _ in range(rows)]
-        i0 = j0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[i0 + i][j0 + j] = b.entry(i, j)
-            i0 += b.rows
-            j0 += b.cols
-        return cls.from_rows(out, cols=cols)
-
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
@@ -141,31 +127,13 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entry(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     # -- arithmetic --------------------------------------------------------
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -176,9 +144,6 @@ class IntMatrix:
             for j in range(other.cols):
                 out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -369,11 +334,6 @@ def _cokernel(A: IntMatrix, d: list[list[int]]) -> AbGroup:
     return AbGroup(A.rows - sum(1 for x in diagonal if x), tuple(x for x in diagonal if x > 1))
 
 
-def rank(A: IntMatrix) -> int:
-    """Rank over the rationals: nonzero diagonal entries of the Smith form."""
-    return A.rows - _cokernel(A, _reduce(A)[0]).free_rank
-
-
 def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
     """Canonical basis of the row lattice spanned by independent vectors.
 
@@ -521,13 +481,15 @@ def _full_rank_modulo(
 
 
 def kernel_and_cokernel(A: IntMatrix) -> tuple[IntMatrix, AbGroup]:
-    """The kernel basis of :func:`kernel_basis` and the cokernel of
-    :func:`cokernel_presentation`, from at most one reduction of A.
+    """The kernel of A, as the rows of a ``d x cols`` matrix, and the
+    cokernel of :func:`cokernel_presentation`, from at most one reduction.
 
-    No reduction runs exactly when :func:`_unit_invariant_factors` finds
-    that A has full column rank and every invariant factor 1: the kernel
-    is then 0 and the cokernel free of rank rows - cols, what the
-    reduction would give.
+    The kernel of a map into a free group is a direct summand; its basis
+    is the canonical echelon form of the columns of V past the rank.  No
+    reduction runs exactly when :func:`_unit_invariant_factors` finds that
+    A has full column rank and every invariant factor 1: the kernel is
+    then 0 and the cokernel free of rank rows - cols, what the reduction
+    would give.
     """
     if _unit_invariant_factors(A):
         return IntMatrix(0, A.cols, ()), AbGroup(A.rows - A.cols, ())
@@ -535,17 +497,6 @@ def kernel_and_cokernel(A: IntMatrix) -> tuple[IntMatrix, AbGroup]:
     cokernel = _cokernel(A, d)
     vecs = [[row[j] for row in v] for j in range(A.rows - cokernel.free_rank, A.cols)]
     return IntMatrix.from_rows(_hnf_rows(vecs, A.cols), cols=A.cols), cokernel
-
-
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Saturated basis of ``{ v : A @ v = 0 }`` inside Z^cols, as the rows
-    of a ``d x cols`` matrix.
-
-    The kernel of a map into a free group is automatically a direct
-    summand; the basis returned is the canonical echelon form of the
-    columns of V past the rank.
-    """
-    return kernel_and_cokernel(A)[0]
 
 
 def cokernel_presentation(A: IntMatrix) -> AbGroup:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 from .abgroups import AbGroup
-from .intlat import IntMatrix
+from .intlat import IntMatrix, as_ints
 
 __all__ = [
     "ManifoldSide",
@@ -86,12 +86,12 @@ class ManifoldSide:
     kbar_divisibility: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h1_torsion", tuple(int(t) for t in self.h1_torsion))
-        object.__setattr__(
-            self,
-            "embedding_torsion",
-            tuple((int(m), tuple(int(x) for x in row)) for m, row in self.embedding_torsion),
-        )
+        kbar = () if self.kbar_divisibility is None else (self.kbar_divisibility,)
+        as_ints((*(getattr(self, key) for key in _SIDE_REQUIRED), *kbar), "side numbers")
+        object.__setattr__(self, "h1_torsion", as_ints(self.h1_torsion, "h1_torsion entries"))
+        torsion = tuple((m, as_ints(row, "embedding_torsion rows")) for m, row in self.embedding_torsion)
+        as_ints((m for m, _ in torsion), "embedding_torsion moduli")
+        object.__setattr__(self, "embedding_torsion", torsion)
 
     @property
     def b2(self) -> int:
@@ -115,7 +115,7 @@ class GluingClass:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        object.__setattr__(self, "a", as_ints(self.a, "gluing vector entries"))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class FibreSumProblem:
 
     def __post_init__(self) -> None:
         if self.t is not None:
-            object.__setattr__(self, "t", tuple(int(x) for x in self.t))
+            object.__setattr__(self, "t", as_ints(self.t, "t entries"))
 
     @property
     def genus(self) -> int:
@@ -272,6 +272,10 @@ def elliptic_surface(n: int) -> ManifoldSide:
     )
 
 
+CATALOG = {"E": elliptic_surface}  # each family's name and the constructor of its n-th side
+CATALOG_NAMES = ", ".join(repr(name) for name in CATALOG)
+
+
 # -- document schema ---------------------------------------------------------
 
 _SIDE_REQUIRED = ("b1", "b2_plus", "b2_minus", "K_squared", "K_dot_B", "B_squared", "genus", "k")
@@ -302,11 +306,12 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
         extra = set(doc) - {"catalog", "n"}
         if extra:
             raise DocumentError([f"{where}: unknown field(s) with catalog reference: {sorted(extra)}"])
-        if doc["catalog"] != "E":
-            raise DocumentError([f"{where}.catalog: unknown catalog {doc['catalog']!r} (supported: 'E')"])
+        family = doc["catalog"]
+        if not isinstance(family, str) or family not in CATALOG:
+            raise DocumentError([f"{where}.catalog: unknown catalog {family!r} (supported: {CATALOG_NAMES})"])
         n = _as_int(doc.get("n"), f"{where}.n")
         try:
-            return elliptic_surface(n)
+            return CATALOG[family](n)
         except ValueError as exc:
             raise DocumentError([f"{where}.n: {exc}"]) from exc
 
@@ -347,19 +352,18 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
         raise DocumentError([f"{where}.embedding_free: {exc} (b1 = {b1}, genus = {genus})"]) from exc
 
     if torsion_doc is None:
-        embedding_torsion = tuple((m, (0,) * two_g) for m in h1_torsion)
+        embedding_torsion = [(m, (0,) * two_g) for m in h1_torsion]
     else:
         if not isinstance(torsion_doc, list):
             raise DocumentError([f"{where}.embedding_torsion: expected an array of objects"])
-        pairs = []
+        embedding_torsion = []
         for idx, item in enumerate(torsion_doc):
             spot = f"{where}.embedding_torsion[{idx}]"
             if not isinstance(item, dict) or set(item) != {"modulus", "row"}:
                 raise DocumentError([f"{spot}: expected an object with fields 'modulus' and 'row'"])
-            pairs.append(
-                (_as_int(item["modulus"], f"{spot}.modulus"), tuple(_as_int_list(item["row"], f"{spot}.row")))
+            embedding_torsion.append(
+                (_as_int(item["modulus"], f"{spot}.modulus"), _as_int_list(item["row"], f"{spot}.row"))
             )
-        embedding_torsion = tuple(pairs)
 
     kbar = doc.get("kbar_divisibility")
     if kbar == "unknown":

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: valid sides, random problems that
-pass the forms scope gate, random unimodular matrices, and the two
-presentations of the cokernel-equivalence lemma."""
+pass the forms scope gate, random unimodular matrices, the matrix helpers
+that only tests need, and the two presentations of the
+cokernel-equivalence lemma."""
 
 from __future__ import annotations
 
@@ -85,6 +86,28 @@ def elliptic_problem(m: int, n: int, a=(0, 0), t=None) -> FibreSumProblem:
     return FibreSumProblem(
         M=elliptic_surface(m), N=elliptic_surface(n), gluing=GluingClass(tuple(a)), t=t
     )
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def transpose(A: IntMatrix) -> IntMatrix:
+    return IntMatrix(A.cols, A.rows, tuple(A.entry(i, j) for j in range(A.cols) for i in range(A.rows)))
+
+
+def column(A: IntMatrix, j: int) -> tuple[int, ...]:
+    return tuple(A.entry(i, j) for i in range(A.rows))
+
+
+def block_diag(blocks) -> IntMatrix:
+    """The blocks along the diagonal of one matrix, zeros elsewhere."""
+    cols = sum(b.cols for b in blocks)
+    rows, j0 = [], 0
+    for b in blocks:
+        rows += [[0] * j0 + list(b.row(i)) + [0] * (cols - j0 - b.cols) for i in range(b.rows)]
+        j0 += b.cols
+    return IntMatrix.from_rows(rows, cols=cols)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:

@@ -6,14 +6,13 @@ import pytest
 
 from fibresum import (
     AbGroup,
-    IntMatrix,
     cokernel_presentation,
     direct_sum,
     is_isomorphic,
     is_torsion_free,
     normal_form,
 )
-from helpers import random_matrix
+from helpers import block_diag, random_matrix
 
 
 class TestDirectSum:
@@ -42,7 +41,7 @@ class TestDirectSum:
         for _ in range(40):
             a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 7)
             b = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 7)
-            combined = cokernel_presentation(IntMatrix.block_diag([a, b]))
+            combined = cokernel_presentation(block_diag([a, b]))
             summed = direct_sum(cokernel_presentation(a), cokernel_presentation(b))
             assert is_isomorphic(combined, summed)
 

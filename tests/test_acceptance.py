@@ -28,6 +28,7 @@ from helpers import (
     random_matrix,
     random_problem_any,
     random_scope_problem,
+    transpose,
 )
 
 
@@ -141,7 +142,7 @@ def test_criterion_7_snf_property_suite():
             assert (snf.U @ matrix @ snf.V) == snf.D
             assert abs(snf.U.det()) == 1
             assert abs(snf.V.det()) == 1
-            assert snf.D.is_diagonal()
+            assert all(x == 0 for i, row in enumerate(snf.D.to_rows()) for j, x in enumerate(row) if i != j)
             diag = snf.diagonal()
             assert all(x >= 0 for x in diag)
             nonzero = [x for x in diag if x]
@@ -167,5 +168,8 @@ def test_criterion_9_transpose_oracle():
         for problem in problems:
             analysis = analyse(problem)
             stacked = model.stacked_free_embedding(problem)
-            assert intlat.cokernel_presentation(stacked.transpose()) == analysis.rim_tori
-            assert stacked.rows - intlat.rank(stacked.transpose()) == analysis.betti.b1
+            transposed = transpose(stacked)
+            rim_tori = intlat.cokernel_presentation(transposed)
+            assert rim_tori == analysis.rim_tori
+            rank = transposed.rows - rim_tori.free_rank
+            assert stacked.rows - rank == analysis.betti.b1

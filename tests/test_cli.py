@@ -346,6 +346,7 @@ class TestCatalog:
     def test_unknown_family(self):
         code, _, err = run(["catalog", "F", "1"])
         assert code == 2
+        assert err == "unknown catalog 'F' (supported: 'E')\n"
 
     def test_json_round_trip(self):
         code, out, _ = run(["catalog", "E", "3"])

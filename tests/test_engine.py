@@ -20,10 +20,12 @@ from fibresum import (
 )
 from helpers import (
     elliptic_problem,
+    identity,
     lemma_cokernels,
     make_side,
     random_problem_any,
     random_scope_problem,
+    transpose,
 )
 
 
@@ -201,10 +203,10 @@ class TestSplitClasses:
 
     def test_divisible_classes(self):
         m_side = make_side(
-            "M2", genus=1, b1=2, embedding=IntMatrix.identity(2), k=2
+            "M2", genus=1, b1=2, embedding=identity(2), k=2
         )
         n_side = make_side(
-            "N3", genus=1, b1=2, embedding=IntMatrix.identity(2), k=3
+            "N3", genus=1, b1=2, embedding=identity(2), k=3
         )
         problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((0, 0)))
         basis = analyse(problem).split_classes
@@ -385,9 +387,9 @@ class TestPhiAction:
                 + [[0] * (2 * g) + [1]],
                 cols=n,
             )
-            pairing = IntMatrix.identity(n)
-            lhs = h2.transpose() @ pairing @ phi_action_h1(g, a)
-            assert lhs == -pairing
+            pairing = identity(n)
+            lhs = transpose(h2) @ pairing @ phi_action_h1(g, a)
+            assert lhs == IntMatrix(n, n, tuple(-x for x in pairing.entries))
 
     def test_length_checked(self):
         with pytest.raises(ValueError):

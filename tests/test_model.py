@@ -1,6 +1,8 @@
 """Side validation, the elliptic catalog, and document parsing."""
 
 import dataclasses
+import enum
+import re
 
 import pytest
 
@@ -12,6 +14,7 @@ from fibresum import (
     analyse,
     elliptic_surface,
     parse_problem,
+    phi_action_h1,
     problem_to_dict,
     validate_problem,
     validate_side,
@@ -152,6 +155,13 @@ class TestParseProblem:
         with pytest.raises(DocumentError, match="missing required"):
             parse_problem(doc)
 
+    def test_unknown_catalog_named(self):
+        for family in ("F", ["E"]):
+            doc = dict(CATALOG_DOC, M={"catalog": family, "n": 1})
+            with pytest.raises(DocumentError) as caught:
+                parse_problem(doc)
+            assert str(caught.value) == f"M.catalog: unknown catalog {family!r} (supported: 'E')"
+
     def test_type_error_named(self):
         doc = dict(CATALOG_DOC)
         doc["M"] = {"catalog": "E", "n": "two"}
@@ -290,3 +300,32 @@ class TestWithT:
         problem = parse_problem(CATALOG_DOC)
         with pytest.raises(DocumentError, match="length d"):
             analyse(dataclasses.replace(problem, t=(1, 2, 3)))
+
+
+E2 = elliptic_surface(2)
+HAND_BUILT = {
+    "side scalar": lambda x: dataclasses.replace(E2, K_dot_B=x),
+    "kbar_divisibility": lambda x: dataclasses.replace(E2, kbar_divisibility=x),
+    "h1_torsion": lambda x: dataclasses.replace(E2, h1_torsion=(x,)),
+    "embedding_torsion modulus": lambda x: dataclasses.replace(E2, embedding_torsion=((x, (0, 0)),)),
+    "embedding_torsion row": lambda x: dataclasses.replace(E2, embedding_torsion=((2, (x, 0)),)),
+    "GluingClass.a": lambda x: GluingClass((x, 0)),
+    "FibreSumProblem.t": lambda x: FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0)), t=(x, 0)),
+    "phi_action_h1": lambda x: phi_action_h1(1, (x, 0)),
+}
+
+
+class TestHandBuiltIntegers:
+    """Values built in code follow the rule documents do: a bool, float
+    or str where an integer belongs raises ValueError, and is never
+    rounded or read as a number."""
+
+    @pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_non_integer_rejected(self, build, bad):
+        with pytest.raises(ValueError, match=re.escape(f"must be ints, got {bad!r}")):
+            build(bad)
+
+    @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_int_subclass_accepted(self, build):
+        build(enum.IntEnum("Two", "ONE TWO").TWO)

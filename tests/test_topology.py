@@ -24,7 +24,7 @@ from fibresum import (
     model,
     phi_action_h1,
 )
-from helpers import make_side, random_problem_any, random_scope_problem, random_unimodular
+from helpers import column, make_side, random_problem_any, random_scope_problem, random_unimodular
 
 
 def mayer_vietoris_h1(problem: FibreSumProblem):
@@ -52,7 +52,7 @@ def mayer_vietoris_h1(problem: FibreSumProblem):
     phi = phi_action_h1(g, problem.gluing.a)
     relations = []
     for x in range(n):
-        image = phi.column(x)
+        image = column(phi, x)
         relations.append(
             [row[x] for _, row in gens_m]
             + [-sum(r * y for r, y in zip(row, image)) for _, row in gens_n]
