@@ -2,16 +2,28 @@
 
 The normal form is the divisibility chain coming straight out of Smith
 reduction, so isomorphism testing is component-wise equality.  Values are
-immutable and operations pure.
+immutable and operations pure; :func:`as_ints` is the one integer rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 __all__ = ["AbGroup", "normal_form", "direct_sum", "is_isomorphic", "is_torsion_free"]
+
+
+def as_ints(values: Iterable[Any], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, or ValueError naming the first bool, float,
+    str or other non-int entry; int subclasses such as IntEnum pass."""
+    values = tuple(values)
+    # One C-level scan passes the all-int case; the loop names the culprit.
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{what} must be ints, got {x!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -27,7 +39,8 @@ class AbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        object.__setattr__(self, "torsion", as_ints(self.torsion, "torsion factors"))
+        as_ints((self.free_rank,), "free rank")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
 
@@ -59,8 +72,8 @@ def normal_form(free_rank: int, factors: Sequence[int]) -> AbGroup:
     """
     rank = free_rank
     chain: list[int] = []
-    for f in factors:
-        f = abs(int(f))
+    for f in as_ints(factors, "factors"):
+        f = abs(f)
         if f == 0:
             rank += 1
             continue

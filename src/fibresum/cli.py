@@ -7,7 +7,7 @@ reduction for debugging.  Documents are JSON following the schema of the
 model module.
 
 Exit codes: 0 success, 1 I/O failure, 2 parse/validation failure,
-3 internal assertion failure.
+3 engine assertion failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ EXIT_INTERNAL = 3
 
 # What each failure class is caught as, in ``main`` and per ``batch`` item.
 INVALID_ERRORS = (DocumentError, forms.InputDataError)
-INTERNAL_ERRORS = (forms.InternalCheckError, AssertionError)
+INTERNAL_ERRORS = (AssertionError,)
 
 T_DEFAULT_WARNING = (
     "t defaulted to the zero vector; this is exact only when matched bounding "
@@ -71,7 +71,9 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
             "alpha_basis": analysis.alpha_basis.to_rows(),
             "a_adapted": list(analysis.a_adapted),
         },
-        "betti": dict(vars(betti)),
+        "betti": dict(
+            vars(betti), b0=betti.b0, b2=betti.b2, b3=betti.b3, b4=betti.b4, e=betti.e, sigma=betti.sigma
+        ),
         "h1": _group_dict(analysis.h1),
         "rim_tori": _group_dict(analysis.rim_tori),
         "split_classes": [
@@ -374,7 +376,7 @@ def cmd_batch(args, stdout, stderr) -> int:
     items: list[dict[str, Any]] = []
     # Items are independent and could run in parallel; the report is
     # assembled in input order either way.  A failing item, even one whose
-    # internal check failed, costs only its own report.
+    # engine assertion failed, costs only its own report.
     for index, entry in enumerate(document):
         try:
             problem = model.parse_problem(entry)

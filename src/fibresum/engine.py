@@ -161,21 +161,13 @@ def _scope_violations(problem: FibreSumProblem, h1: AbGroup) -> tuple[str, ...]:
 
 
 def _betti_numbers(problem: FibreSumProblem, d: int) -> BettiNumbers:
-    """Betti numbers of the sum from the kernel dimension d.
-
-    The Euler characteristic and signature come from their own additivity
-    rules; ``BettiNumbers`` checks them against the b-number formulas.
-    """
+    """Betti numbers of the sum from the kernel dimension d."""
     M, N, g = problem.M, problem.N, problem.genus
-    b1 = M.b1 + N.b1 - 2 * g + d
-    b2 = M.b2 + N.b2 - 2 + 2 * d
-    b2_plus = M.b2_plus + N.b2_plus - 1 + d
-    b2_minus = M.b2_minus + N.b2_minus - 1 + d
-    e = M.euler + N.euler + 4 * g - 4
-    sigma = M.signature + N.signature
     return BettiNumbers(
-        b0=1, b1=b1, b2=b2, b3=b1, b4=1,
-        b2_plus=b2_plus, b2_minus=b2_minus, e=e, sigma=sigma, d=d,
+        b1=M.b1 + N.b1 - 2 * g + d,
+        b2_plus=M.b2_plus + N.b2_plus - 1 + d,
+        b2_minus=M.b2_minus + N.b2_minus - 1 + d,
+        d=d,
     )
 
 
@@ -214,7 +206,8 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
     x_M*k_M + x_N*k_N - <C, alpha> = 0.  With both surfaces indivisible
     the basis takes the explicit normal form B_M - B_N followed by
     S_i = <C, alpha_i>*B_N + alpha_i; for general divisibilities it is
-    the canonical kernel basis of the 1 x (2+d) defining equation.
+    the canonical kernel basis of the 1 x (2+d) defining equation, the only
+    basis checked against it: the explicit one satisfies it by construction.
     """
     d = len(a_adapted)
     if k_m == 1 and k_n == 1:
@@ -222,10 +215,10 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
         for i, ai in enumerate(a_adapted):
             unit = tuple(1 if j == i else 0 for j in range(d))
             classes.append(SplitClass(0, ai, unit))
-    else:
-        defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a_adapted)]], cols=2 + d)
-        kernel = intlat.kernel_and_cokernel(defining)[0]
-        classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in kernel.to_rows()]
+        return tuple(classes)
+    defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a_adapted)]], cols=2 + d)
+    kernel = intlat.kernel_and_cokernel(defining)[0]
+    classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in kernel.to_rows()]
     for c in classes:
         value = c.b_m * k_m + c.b_n * k_n - sum(x * y for x, y in zip(a_adapted, c.alpha))
         if value != 0:

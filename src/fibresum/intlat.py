@@ -3,7 +3,7 @@
 Matrices carry arbitrary-precision Python ints, so the coefficient growth
 that occurs during Smith reduction can never overflow.  All values are
 immutable and all operations are pure functions; concurrent use needs no
-coordination.  :func:`as_ints` is the one rule for integer inputs.
+coordination.  Entries obey :func:`abgroups.as_ints`, the integer rule.
 
 Every Smith reduction here runs one deterministic pivot loop, so every
 result can be tested byte for byte.  The loop clears with least absolute
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .abgroups import AbGroup
+from .abgroups import AbGroup, as_ints
 
 __all__ = [
     "IntMatrix",
@@ -44,18 +44,6 @@ __all__ = [
     "kernel_and_cokernel",
     "cokernel_presentation",
 ]
-
-
-def as_ints(values: Iterable[Any], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, or ValueError naming the first bool, float,
-    str or other non-int entry; int subclasses such as IntEnum pass."""
-    values = tuple(values)
-    # One C-level scan passes the all-int case; the loop names the culprit.
-    if not {int}.issuperset(map(type, values)):
-        for x in values:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"{what} must be ints, got {x!r}")
-    return values
 
 
 @dataclass(frozen=True)

@@ -145,28 +145,30 @@ class FibreSumProblem:
 
 @dataclass(frozen=True)
 class BettiNumbers:
-    b0: int
+    """b1 and b2+- of the sum, its kernel rank d, and what follows from them."""
+
     b1: int
-    b2: int
-    b3: int
-    b4: int
     b2_plus: int
     b2_minus: int
-    e: int
-    sigma: int
     d: int
 
-    def __post_init__(self) -> None:
-        ok = (
-            self.b0 == 1
-            and self.b4 == 1
-            and self.b1 == self.b3
-            and self.b2 == self.b2_plus + self.b2_minus
-            and self.e == 2 - 2 * self.b1 + self.b2
-            and self.sigma == self.b2_plus - self.b2_minus
-        )
-        if not ok:
-            raise ValueError(f"inconsistent Betti data: {self}")
+    b0 = b4 = 1
+
+    @property
+    def b2(self) -> int:
+        return self.b2_plus + self.b2_minus
+
+    @property
+    def b3(self) -> int:
+        return self.b1
+
+    @property
+    def e(self) -> int:
+        return 2 - 2 * self.b1 + self.b2
+
+    @property
+    def sigma(self) -> int:
+        return self.b2_plus - self.b2_minus
 
 
 def validate_side(side: ManifoldSide) -> list[str]:
@@ -252,6 +254,7 @@ def elliptic_surface(n: int) -> ManifoldSide:
     -n and pairs with the canonical class as n-2.  The perpendicular part
     of the canonical class vanishes, hence kbar_divisibility = 0.
     """
+    as_ints((n,), "elliptic_surface n")
     if n < 1:
         raise ValueError(f"elliptic_surface requires n >= 1, got {n}")
     return ManifoldSide(

@@ -242,7 +242,7 @@ class TestCompute:
 
     def test_internal_check_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(problem, include_forms=True):
-            raise forms.InternalCheckError("synthetic failure")
+            raise AssertionError("synthetic failure")
 
         monkeypatch.setattr(cli, "build_report", boom)
         code, _, err = run(["compute", write_doc(tmp_path, K3_SUM)])

@@ -79,6 +79,16 @@ class TestBettiNumbers:
         assert betti.d == 0
         assert betti.b2 == side.b2 + side.b2 - 2
 
+    def test_euler_and_signature_add(self):
+        # e and sigma are derived from b1 and b2+-; additivity is an
+        # independent formula for each.
+        rng = random.Random(0xADD)
+        for _ in range(300):
+            problem = random_problem_any(rng)
+            M, N, betti = problem.M, problem.N, analyse(problem).betti
+            assert betti.e == M.euler + N.euler + 4 * problem.genus - 4
+            assert betti.sigma == M.signature + N.signature
+
 
 class TestFirstHomology:
     def test_elliptic_simply_connected(self):

@@ -207,6 +207,14 @@ class TestClassifyForm:
         fc = classify_form(bf, cc)
         assert fc.decomposition == "1H + 1E8(+1)"
 
+    def test_nucleus_parity_is_bad_input(self):
+        # K.B - B^2 odd breaks validate_side's characteristic rule; summed
+        # with E(2), the odd difference lands on the nucleus.
+        side = make_side("P", genus=1, K_dot_B=1, p_parity="odd")
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
+        with pytest.raises(InputDataError, match="characteristic"):
+            cli.build_report(problem)
+
     def test_definite_refused(self):
         bf = BlockForm(
             pm_block=PBlock(0, -2, "even"),

@@ -7,12 +7,14 @@ import re
 import pytest
 
 from fibresum import (
+    AbGroup,
     DocumentError,
     FibreSumProblem,
     GluingClass,
     IntMatrix,
     analyse,
     elliptic_surface,
+    normal_form,
     parse_problem,
     phi_action_h1,
     problem_to_dict,
@@ -312,6 +314,10 @@ HAND_BUILT = {
     "GluingClass.a": lambda x: GluingClass((x, 0)),
     "FibreSumProblem.t": lambda x: FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0)), t=(x, 0)),
     "phi_action_h1": lambda x: phi_action_h1(1, (x, 0)),
+    "AbGroup free rank": lambda x: AbGroup(x),
+    "AbGroup torsion": lambda x: AbGroup(0, (x,)),
+    "normal_form factors": lambda x: normal_form(0, [x]),
+    "elliptic_surface": elliptic_surface,
 }
 
 
