@@ -12,12 +12,9 @@ from fibresum import (
     FibreSumProblem,
     GluingClass,
     analyse,
-    assemble_intersection_form,
-    canonical_class,
-    canonical_square,
     classify_form,
-    divisibility,
     elliptic_surface,
+    sum_forms,
 )
 
 
@@ -38,21 +35,23 @@ analysis = analyse(sum_of(2, 2, (0, 0)))
 betti = analysis.betti
 print(f"  b2 = {betti.b2} (E(4) has 12*4-2 = 46), sigma = {betti.sigma}, e = {betti.e}")
 print(f"  H_1 = {analysis.h1}, rim tori group = {analysis.rim_tori}")
-cc = canonical_class(analysis)
+sf = sum_forms(analysis)
+cc = sf.canonical_class
 print(f"  canonical class: sigma coefficient {cc.sigma_coeff}, rim coefficients {cc.r_coeffs}")
-print(f"  divisibility of K_X: {divisibility(cc).value} (E(4) has K = 2*fibre)")
-fc = classify_form(assemble_intersection_form(analysis, cc), cc)
+print(f"  divisibility of K_X: {sf.divisibility.value} (E(4) has K = 2*fibre)")
+fc = classify_form(sf.block_form)
 print(f"  intersection form: {fc.parity} {fc.decomposition}")
 
 print()
 print("Twisting the gluing by a = (1, 0) changes the smooth structure story:")
 analysis = analyse(sum_of(2, 2, (1, 0)))
-cc = canonical_class(analysis)
+sf = sum_forms(analysis)
+cc = sf.canonical_class
 print(f"  split-class basis: {[c.label() for c in analysis.split_classes]}")
 print(f"  rim coefficients of K_X: {cc.r_coeffs} (symmetric basis: t = {cc.t_coeffs}, "
       f"eta = {cc.eta}, eta' = {cc.eta_prime})")
-print(f"  divisibility of K_X: {divisibility(cc).value} -> K_X indivisible")
-fc = classify_form(assemble_intersection_form(analysis, cc), cc)
+print(f"  divisibility of K_X: {sf.divisibility.value} -> K_X indivisible")
+fc = classify_form(sf.block_form)
 print(f"  intersection form becomes {fc.parity}: {fc.decomposition}")
 print("  The sum still has the Betti numbers of E(4) but is not spin,")
 print("  so it is not even homeomorphic to E(4).")
@@ -60,9 +59,8 @@ print("  so it is not even homeomorphic to E(4).")
 print()
 print("Divisibility of K_X for the family glued with a = (p, 0):")
 for p in range(0, 7):
-    problem = sum_of(2, 2, (p, 0))
-    cc = canonical_class(analyse(problem))
-    check = canonical_square(cc, problem)
-    print(f"  p = {p}: divisibility {divisibility(cc).value}, "
+    sf = sum_forms(analyse(sum_of(2, 2, (p, 0))))
+    check = sf.k_squared
+    print(f"  p = {p}: divisibility {sf.divisibility.value}, "
           f"K_X^2 = {check.lhs} (target {check.rhs})")
 print("  Even p keeps the divisibility of E(4); odd p destroys it.")

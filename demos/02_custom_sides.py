@@ -13,10 +13,9 @@ from fibresum import (
     IntMatrix,
     ManifoldSide,
     analyse,
-    canonical_class,
-    canonical_square,
     complement_invariants,
     embed_h2,
+    sum_forms,
     validate_problem,
 )
 
@@ -63,8 +62,8 @@ betti = analysis.betti
 print(f"  betti: b1 = {betti.b1}, b2 = {betti.b2}, sigma = {betti.sigma}")
 print(f"  H_1(X) = {analysis.h1}, R(X) = {analysis.rim_tori}")
 
-cc = canonical_class(analysis)
-check = canonical_square(cc, problem)
+sf = sum_forms(analysis)
+cc, check = sf.canonical_class, sf.k_squared
 print(f"  K_X coefficients: b = {cc.b_coeff}, sigma = {cc.sigma_coeff}, r = {cc.r_coeffs}")
 print(f"  K_X^2 = {check.lhs}, closed formula gives {check.rhs}")
 

@@ -25,13 +25,10 @@ from .forms import (
     Divisibility,
     FormClass,
     ScopeError,
-    assemble_intersection_form,
-    canonical_class,
-    canonical_square,
+    SumForms,
     classify_form,
-    divisibility,
     embed_h2,
-    ionel_parker_checks,
+    sum_forms,
 )
 from .intlat import (
     IntMatrix,
@@ -73,18 +70,14 @@ __all__ = [
     "ScopeError",
     "SplitClass",
     "SumAnalysis",
+    "SumForms",
     "analyse",
-    "assemble_intersection_form",
-    "canonical_class",
-    "canonical_square",
     "classify_form",
     "cokernel_presentation",
     "complement_invariants",
     "direct_sum",
-    "divisibility",
     "elliptic_surface",
     "embed_h2",
-    "ionel_parker_checks",
     "is_isomorphic",
     "is_torsion_free",
     "kernel_and_cokernel",
@@ -94,6 +87,7 @@ __all__ = [
     "problem_to_dict",
     "side_to_dict",
     "smith_normal_form",
+    "sum_forms",
     "validate_problem",
     "validate_side",
 ]

@@ -15,14 +15,14 @@ __all__ = ["AbGroup", "normal_form", "direct_sum", "is_isomorphic", "is_torsion_
 
 
 def as_ints(values: Iterable[Any], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, or ValueError naming the first bool, float,
-    str or other non-int entry; int subclasses such as IntEnum pass."""
+    """``values`` as a tuple, or ValueError naming ``what`` and the first
+    bool, float, str or other non-int entry; int subclasses pass."""
     values = tuple(values)
     # One C-level scan passes the all-int case; the loop names the culprit.
     if not {int}.issuperset(map(type, values)):
         for x in values:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"{what} must be ints, got {x!r}")
+                raise ValueError(f"{what}: expected an integer, got {x!r}")
     return values
 
 

@@ -101,14 +101,12 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
     elif not include_forms:
         report["forms"] = {"skipped": ["disabled by --no-forms"]}
     else:
-        cc = forms.canonical_class(analysis)
-        bf = forms.assemble_intersection_form(analysis, cc)
+        sf = forms.sum_forms(analysis)
+        cc, bf, k_sq = sf.canonical_class, sf.block_form, sf.k_squared
         try:
-            form_class = dict(vars(forms.classify_form(bf, cc)))
+            form_class = dict(vars(forms.classify_form(bf)))
         except forms.UnknownParityError as exc:
             form_class = {"unavailable": str(exc)}
-        k_sq = forms.canonical_square(cc, problem)
-        ip = forms.ionel_parker_checks(problem, cc)
         report["forms"] = {
             "block_form": {
                 "pm": dict(vars(bf.pm_block)),
@@ -130,11 +128,12 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
                 "kbar_m": {"square": cc.kbar_m_sq, "divisibility": cc.kbar_m_div},
                 "kbar_n": {"square": cc.kbar_n_sq, "divisibility": cc.kbar_n_div},
             },
-            "divisibility": dict(vars(forms.divisibility(cc))),
+            "divisibility": dict(vars(sf.divisibility)),
         }
         checks["k_squared"] = {"value": k_sq.lhs, "target": k_sq.rhs, "pass": k_sq.ok}
         checks["ionel_parker"] = [
-            {"name": line.name, "lhs": line.lhs, "rhs": line.rhs, "pass": line.ok} for line in ip
+            {"name": line.name, "lhs": line.lhs, "rhs": line.rhs, "pass": line.ok}
+            for line in sf.ionel_parker
         ]
 
     report["checks"] = checks
@@ -336,10 +335,19 @@ def _parse_t_flag(value: str | None) -> tuple[int, ...] | None:
         raise DocumentError([f"--t: expected a comma-separated integer list, got {value!r}"]) from exc
 
 
+def _lift_digit_limit() -> None:
+    """Let ints of any length become text once every input is read: CPython's
+    4,300-digit limit keeps reading linear, but results may outgrow it.
+    ``main`` restores the limit."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def cmd_compute(args, stdout, stderr) -> int:
     document = _read_json_file(args.path)
-    problem = model.parse_problem(document)
     t_override = _parse_t_flag(args.t)
+    _lift_digit_limit()
+    problem = model.parse_problem(document)
     if t_override is not None:
         problem = dataclasses.replace(problem, t=t_override)
     report = build_report(problem, include_forms=not args.no_forms)
@@ -349,6 +357,7 @@ def cmd_compute(args, stdout, stderr) -> int:
 
 def cmd_validate(args, stdout, stderr) -> int:
     document = _read_json_file(args.path)
+    _lift_digit_limit()
     engine.analyse(model.parse_problem(document))
     stdout.write("valid\n")
     return EXIT_OK
@@ -358,6 +367,7 @@ def cmd_catalog(args, stdout, stderr) -> int:
     if args.name not in model.CATALOG:
         stderr.write(f"unknown catalog {args.name!r} (supported: {model.CATALOG_NAMES})\n")
         return EXIT_INVALID
+    _lift_digit_limit()
     try:
         side = model.CATALOG[args.name](args.n)
     except ValueError as exc:
@@ -373,6 +383,7 @@ def cmd_batch(args, stdout, stderr) -> int:
         document = document["problems"]
     if not isinstance(document, list):
         raise DocumentError(["batch document: expected an array of problem documents"])
+    _lift_digit_limit()
     items: list[dict[str, Any]] = []
     # Items are independent and could run in parallel; the report is
     # assembled in input order either way.  A failing item, even one whose
@@ -414,6 +425,7 @@ def cmd_snf(args, stdout, stderr) -> int:
         matrix = IntMatrix.from_rows(document)
     except ValueError as exc:
         raise DocumentError([f"matrix document: {exc}"]) from exc
+    _lift_digit_limit()
     snf = smith_normal_form(matrix)
     payload = {
         "U": snf.U.to_rows(),
@@ -483,6 +495,7 @@ def main(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "format", None) == "structured":
         args.format = "json"
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return args.func(args, stdout, stderr)
     except OSError as exc:
@@ -494,6 +507,9 @@ def main(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     except INTERNAL_ERRORS as exc:
         stderr.write(f"internal check failed: {exc}\n")
         return EXIT_INTERNAL
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ those hypotheses the second cohomology of the sum splits into the two
 perpendicular blocks, d
 hyperbolic-like pair blocks spanned by a split class and a rim torus, and
 the nucleus spanned by the sewn dual surface and the surface push-off.
-:class:`BlockForm` holds the numbers of that block sum; every identity the
-module states comes back as a :class:`CheckLine` and raises nothing, since
-each holds for every integer input.
+:func:`sum_forms` builds that block sum and the canonical class in one
+pass.  :class:`BlockForm` holds the numbers of the block sum; every
+identity the module states comes back as a :class:`CheckLine` and raises
+nothing, since each holds for every integer input.
 
 The canonical class is stored as its coefficient vector in this basis,
 in both the push-off basis (coefficients r_i, sigma on Sigma_X) and the
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import SumAnalysis
-from .model import FibreSumProblem
 
 __all__ = [
     "ScopeError",
@@ -35,13 +35,10 @@ __all__ = [
     "FormClass",
     "Divisibility",
     "CheckLine",
+    "SumForms",
     "EmbeddedClass",
-    "canonical_class",
-    "canonical_square",
-    "assemble_intersection_form",
+    "sum_forms",
     "classify_form",
-    "divisibility",
-    "ionel_parker_checks",
     "embed_h2",
 ]
 
@@ -163,6 +160,19 @@ class CheckLine:
 
 
 @dataclass(frozen=True)
+class SumForms:
+    """What :func:`sum_forms` finds for one in-scope sum: the canonical
+    class, the block form, the divisibility of the canonical class, its
+    square next to the closed formula, and its Ionel-Parker pairings."""
+
+    canonical_class: CanonicalClass
+    block_form: BlockForm
+    divisibility: Divisibility
+    k_squared: CheckLine
+    ionel_parker: tuple[CheckLine, ...]
+
+
+@dataclass(frozen=True)
 class EmbeddedClass:
     """A second-cohomology class of one side written in the basis of the
     sum: perpendicular part passed through, then the coefficients on the
@@ -180,100 +190,83 @@ def _require_scope(analysis: SumAnalysis) -> None:
         raise ScopeError(analysis.scope_violations)
 
 
-def canonical_class(analysis: SumAnalysis) -> CanonicalClass:
-    """All coefficients of the canonical class of the sum."""
+def sum_forms(analysis: SumAnalysis) -> SumForms:
+    """The canonical class, block form, divisibility and check lines of an
+    in-scope sum, each computed once from b = 2g - 2, eta, eta' and
+    B_X^2 = B_M^2 + B_N^2.
+
+    The characteristic property of the canonical class forces the parity
+    of each pair block: S_i^2 = K.S_i = r_i (mod 2).  On the nucleus it
+    reads K.B_X = B_X^2 (mod 2), which every validated side gives; a
+    hand-built side that breaks it raises ``InputDataError``.
+    """
     _require_scope(analysis)
     problem = analysis.problem
     M, N, g = problem.M, problem.N, problem.genus
-    t = analysis.t_effective
-
     b = 2 * g - 2
     eta = M.K_dot_B + 1 - b * M.B_squared
     eta_prime = N.K_dot_B + 1 - b * N.B_squared
-    sigma = eta + eta_prime
-    r = tuple(ti - ai * eta_prime for ti, ai in zip(t, analysis.a_adapted))
-
-    # The square of the perpendicular part of K on each side.
-    kbar_m_sq = M.K_squared - 2 * b * M.K_dot_B + b * b * M.B_squared
-    kbar_n_sq = N.K_squared - 2 * b * N.K_dot_B + b * b * N.B_squared
-
-    return CanonicalClass(
-        kbar_m_sq=kbar_m_sq,
+    b_sq = M.B_squared + N.B_squared
+    k_dot_b = b * b_sq + eta + eta_prime
+    if (k_dot_b - b_sq) % 2 != 0:
+        raise InputDataError("characteristic property violated on the nucleus: K.B_X != B_X^2 (mod 2)")
+    cc = CanonicalClass(
+        # The square of the perpendicular part of K on each side.
+        kbar_m_sq=M.K_squared - 2 * b * M.K_dot_B + b * b * M.B_squared,
         kbar_m_div=M.kbar_divisibility,
-        kbar_n_sq=kbar_n_sq,
+        kbar_n_sq=N.K_squared - 2 * b * N.K_dot_B + b * b * N.B_squared,
         kbar_n_div=N.kbar_divisibility,
         s_coeffs=(0,) * analysis.d,
-        r_coeffs=r,
-        t_coeffs=t,
+        r_coeffs=tuple(ti - ai * eta_prime for ti, ai in zip(analysis.t_effective, analysis.a_adapted)),
+        t_coeffs=analysis.t_effective,
         b_coeff=b,
-        sigma_coeff=sigma,
+        sigma_coeff=eta + eta_prime,
         eta=eta,
         eta_prime=eta_prime,
     )
-
-
-def canonical_square(cc: CanonicalClass, problem: FibreSumProblem) -> CheckLine:
-    """Square of the canonical class by block evaluation (``lhs``) next to
-    the closed formula K_M^2 + K_N^2 + (8g - 8) (``rhs``).
-
-    The rim and split coefficients contribute nothing: rim tori have
-    square zero and pair off only against split classes, whose
-    coefficients vanish.
-    """
-    M, N, g = problem.M, problem.N, problem.genus
-    b_sq = M.B_squared + N.B_squared
-    return CheckLine(
-        name="K_X^2 == K_M^2 + K_N^2 + 8g - 8",
-        lhs=(
-            cc.kbar_m_sq
-            + cc.kbar_n_sq
-            + cc.b_coeff * cc.b_coeff * b_sq
-            + 2 * cc.b_coeff * cc.sigma_coeff
+    # Only known perpendicular divisibilities join the gcd; gcd(0, x) = x.
+    kbar_divs = [div for div in (cc.kbar_m_div, cc.kbar_n_div) if div is not None]
+    return SumForms(
+        canonical_class=cc,
+        block_form=BlockForm(
+            pm_block=PBlock(rank=M.b2 - 2, signature=M.signature, parity=M.p_parity),
+            pn_block=PBlock(rank=N.b2 - 2, signature=N.signature, parity=N.p_parity),
+            pair_s_sq_parities=tuple(ri % 2 for ri in cc.r_coeffs),
+            nucleus_b_sq=b_sq,
         ),
-        rhs=M.K_squared + N.K_squared + 8 * g - 8,
+        divisibility=Divisibility(math.gcd(b, cc.sigma_coeff, *cc.r_coeffs, *kbar_divs), len(kbar_divs) == 2),
+        # Rim tori have square zero and pair off only against split classes,
+        # whose coefficients vanish, so neither adds to K_X^2.
+        k_squared=CheckLine(
+            "K_X^2 == K_M^2 + K_N^2 + 8g - 8",
+            cc.kbar_m_sq + cc.kbar_n_sq + b * b * b_sq + 2 * b * cc.sigma_coeff,
+            M.K_squared + N.K_squared + 8 * g - 8,
+        ),
+        ionel_parker=(
+            CheckLine("K_X.B_X == K_M.B_M + K_N.B_N + 2", k_dot_b, M.K_dot_B + N.K_dot_B + 2),
+            CheckLine("K_X.Sigma_X == 2g - 2", b, 2 * g - 2),
+            CheckLine("K_X.R == 0 on all rim tori", sum(map(abs, cc.s_coeffs)), 0),
+        ),
     )
 
 
-def assemble_intersection_form(analysis: SumAnalysis, cc: CanonicalClass) -> BlockForm:
-    """The block intersection form of the sum.
-
-    The parity of each pair block is forced by the characteristic
-    property of the canonical class: S_i^2 = K.S_i = r_i (mod 2).
-    """
-    _require_scope(analysis)
-    M, N = analysis.problem.M, analysis.problem.N
-    return BlockForm(
-        pm_block=PBlock(rank=M.b2 - 2, signature=M.signature, parity=M.p_parity),
-        pn_block=PBlock(rank=N.b2 - 2, signature=N.signature, parity=N.p_parity),
-        pair_s_sq_parities=tuple(ri % 2 for ri in cc.r_coeffs),
-        nucleus_b_sq=M.B_squared + N.B_squared,
-    )
-
-
-def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
+def classify_form(bf: BlockForm) -> FormClass:
     """Unimodular classification of the assembled form.
 
     Indefinite forms are classified by rank, signature and parity: odd
     ones are diagonal, even ones split into hyperbolic planes and copies
-    of the rank-8 even definite form.  Definite forms are refused, and so
-    is a nucleus with K.B_X != B_X^2 (mod 2), which no validated side gives.
+    of the rank-8 even definite form.  Definite forms are refused.
     """
     for block, label in ((bf.pm_block, "M"), (bf.pn_block, "N")):
         if block.parity == "unknown":
             raise UnknownParityError(
                 f"p_parity of side {label} is unknown; classification needs it"
             )
-    b_sq = bf.nucleus_b_sq
-    k_dot_b = cc.b_coeff * b_sq + cc.sigma_coeff
-    if (k_dot_b - b_sq) % 2 != 0:
-        raise InputDataError(
-            "characteristic property violated on the nucleus: K.B_X != B_X^2 (mod 2)"
-        )
     even = (
         bf.pm_block.parity == "even"
         and bf.pn_block.parity == "even"
         and not any(bf.pair_s_sq_parities)
-        and b_sq % 2 == 0
+        and bf.nucleus_b_sq % 2 == 0
     )
     rank, signature = bf.rank, bf.signature
     if (rank + signature) % 2 != 0 or abs(signature) > rank:
@@ -301,42 +294,6 @@ def classify_form(bf: BlockForm, cc: CanonicalClass) -> FormClass:
     if e8_count:
         bits.append(f"{e8_count}E8({e8_sign})")
     return FormClass(rank, signature, "even", " + ".join(bits) if bits else "0")
-
-
-def divisibility(cc: CanonicalClass) -> Divisibility:
-    """gcd of all coefficients of the canonical class.
-
-    A coefficient of 0 is the zero class and constrains nothing
-    (gcd(0, x) = x).  When either perpendicular divisibility is unknown
-    the result is only a necessary-condition bound.
-    """
-    values = [cc.b_coeff, cc.sigma_coeff, *cc.r_coeffs]
-    exact = cc.kbar_m_div is not None and cc.kbar_n_div is not None
-    if cc.kbar_m_div is not None:
-        values.append(cc.kbar_m_div)
-    if cc.kbar_n_div is not None:
-        values.append(cc.kbar_n_div)
-    return Divisibility(value=math.gcd(*values), exact=exact)
-
-
-def ionel_parker_checks(problem: FibreSumProblem, cc: CanonicalClass) -> tuple[CheckLine, ...]:
-    """The canonical class next to its known pairings: with the sewn dual
-    surface, the push-off, and the rim tori."""
-    M, N, g = problem.M, problem.N, problem.genus
-    b_sq = M.B_squared + N.B_squared
-    return (
-        CheckLine(
-            name="K_X.B_X == K_M.B_M + K_N.B_N + 2",
-            lhs=cc.b_coeff * b_sq + cc.sigma_coeff,
-            rhs=M.K_dot_B + N.K_dot_B + 2,
-        ),
-        CheckLine(name="K_X.Sigma_X == 2g - 2", lhs=cc.b_coeff, rhs=2 * g - 2),
-        CheckLine(
-            name="K_X.R == 0 on all rim tori",
-            lhs=sum(abs(s) for s in cc.s_coeffs),
-            rhs=0,
-        ),
-    )
 
 
 def embed_h2(

@@ -285,20 +285,18 @@ _SIDE_REQUIRED = ("b1", "b2_plus", "b2_minus", "K_squared", "K_dot_B", "B_square
 _SIDE_OPTIONAL = tuple(f.name for f in fields(ManifoldSide) if f.name not in _SIDE_REQUIRED)
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError([f"{where}: expected an integer, got {value!r}"])
-    return value
-
-
-def _as_int_list(value: Any, where: str) -> list[int]:
-    # One C-level scan passes a list of plain ints; the loop names the culprit
-    # and still admits int subclasses such as IntEnum.
-    if type(value) is list and {int}.issuperset(map(type, value)):
-        return list(value)
+def _as_int_list(value: Any, where: str) -> tuple[int, ...]:
+    """A document's integer list, under the integer rule of ``as_ints``."""
     if not isinstance(value, list):
         raise DocumentError([f"{where}: expected a list of integers, got {value!r}"])
-    return [_as_int(x, where) for x in value]
+    try:
+        return as_ints(value, where)
+    except ValueError as exc:
+        raise DocumentError([str(exc)]) from exc
+
+
+def _as_int(value: Any, where: str) -> int:
+    return _as_int_list([value], where)[0]
 
 
 def parse_side(doc: Any, where: str) -> ManifoldSide:
@@ -329,7 +327,7 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     b1, genus = required["b1"], required["genus"]
     two_g = 2 * genus
 
-    h1_torsion = tuple(_as_int_list(doc.get("h1_torsion", []), f"{where}.h1_torsion"))
+    h1_torsion = _as_int_list(doc.get("h1_torsion", []), f"{where}.h1_torsion")
     free_rows = doc.get("embedding_free")
     torsion_doc = doc.get("embedding_torsion")
     implied_rows = (b1 if free_rows is None else 0) + (len(h1_torsion) if torsion_doc is None else 0)
@@ -415,10 +413,10 @@ def parse_problem(document: Any) -> FibreSumProblem:
     gluing_doc = document["gluing"]
     if not isinstance(gluing_doc, dict) or set(gluing_doc) != {"a"}:
         raise DocumentError(["gluing: expected an object with the single field 'a'"])
-    gluing = GluingClass(tuple(_as_int_list(gluing_doc["a"], "gluing.a")))
+    gluing = GluingClass(_as_int_list(gluing_doc["a"], "gluing.a"))
 
     t_doc = document.get("t")
-    t = None if t_doc is None else tuple(_as_int_list(t_doc, "t"))
+    t = None if t_doc is None else _as_int_list(t_doc, "t")
 
     problem = FibreSumProblem(M=side_m, N=side_n, gluing=gluing, t=t)
     violations = validate_problem(problem)

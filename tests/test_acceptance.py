@@ -13,14 +13,10 @@ from functools import lru_cache
 from fibresum import intlat, model
 from fibresum import (
     analyse,
-    assemble_intersection_form,
-    canonical_class,
-    canonical_square,
     classify_form,
-    divisibility,
-    ionel_parker_checks,
     is_isomorphic,
     smith_normal_form,
+    sum_forms,
 )
 from helpers import (
     elliptic_problem,
@@ -66,7 +62,7 @@ def test_criterion_1_elliptic_regression():
                 assert betti.sigma == -8 * s
                 assert betti.e == 12 * s
                 assert analyse(problem).h1.is_trivial()
-                cc = canonical_class(analyse(problem))
+                cc = sum_forms(analyse(problem)).canonical_class
                 assert cc.r_coeffs == (0, 0)
                 assert cc.sigma_coeff == s - 2
         elapsed = time.perf_counter() - start
@@ -78,7 +74,7 @@ def test_criterion_2_twisted_family():
         for m in (2, 3, 4):
             for n in (2, 3, 4):
                 for p in range(-3, 4):
-                    cc = canonical_class(analyse(elliptic_problem(m, n, a=(p, 0))))
+                    cc = sum_forms(analyse(elliptic_problem(m, n, a=(p, 0)))).canonical_class
                     assert cc.r_coeffs == (-(n - 1) * p, 0)
                     assert cc.sigma_coeff == m + n - 2
                     assert cc.eta == m - 1
@@ -88,7 +84,7 @@ def test_criterion_2_twisted_family():
 def test_criterion_3_k_squared_identity():
     with criterion(3, "K^2 identity on 200 randomized problems"):
         for problem in randomized_suite():
-            check = canonical_square(canonical_class(analyse(problem)), problem)
+            check = sum_forms(analyse(problem)).k_squared
             assert check.lhs == check.rhs
 
 
@@ -100,8 +96,7 @@ def test_criterion_4_rank_bookkeeping():
             split_total = 2 * (d + 1) + (problem.M.b2 - 2) + (problem.N.b2 - 2)
             assert split_total == betti.b2
             assert analyse(problem).h1_cohom_rank == betti.b1
-            cc = canonical_class(analyse(problem))
-            bf = assemble_intersection_form(analyse(problem), cc)
+            bf = sum_forms(analyse(problem)).block_form
             assert bf.rank == betti.b2
             assert bf.signature == betti.sigma
 
@@ -117,16 +112,16 @@ def test_criterion_5_cokernel_lemma_oracle():
 def test_criterion_6_spin_divisibility_dichotomy():
     with criterion(6, "spin/divisibility dichotomy for K3 sums"):
         twisted = elliptic_problem(2, 2, a=(1, 0))
-        cc = canonical_class(analyse(twisted))
-        assert divisibility(cc).value == 1
-        fc = classify_form(assemble_intersection_form(analyse(twisted), cc), cc)
+        sf = sum_forms(analyse(twisted))
+        assert sf.divisibility.value == 1
+        fc = classify_form(sf.block_form)
         assert fc.parity == "odd"
         assert fc.decomposition == "7<+1> + 39<-1>"
 
         untwisted = elliptic_problem(2, 2, a=(0, 0))
-        cc = canonical_class(analyse(untwisted))
-        assert divisibility(cc).value == 2
-        fc = classify_form(assemble_intersection_form(analyse(untwisted), cc), cc)
+        sf = sum_forms(analyse(untwisted))
+        assert sf.divisibility.value == 2
+        fc = classify_form(sf.block_form)
         assert fc.parity == "even"
         assert fc.decomposition == "7H + 4E8(-1)"
 
@@ -154,7 +149,7 @@ def test_criterion_8_ionel_parker_cross_checks():
     with criterion(8, "Ionel-Parker cross-checks on 200 randomized problems"):
         for problem in randomized_suite():
             M, N, g = problem.M, problem.N, problem.genus
-            lines = ionel_parker_checks(problem, canonical_class(analyse(problem)))
+            lines = sum_forms(analyse(problem)).ionel_parker
             assert lines[0].lhs == M.K_dot_B + N.K_dot_B + 2
             assert lines[1].lhs == 2 * g - 2
             assert lines[2].lhs == 0

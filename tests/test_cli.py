@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,55 @@ class TestBatch:
         code, out, _ = run(["batch", path])
         assert code == 3
         assert "--- problem 1: internal" in out and "--- problem 2: error" in out
+
+
+# 4,300 digits is the most CPython turns into text, or reads from it, by
+# default.  Inputs stay within that limit while results outgrow it.
+NINES_4300 = "9" * 4300
+
+
+def long_h1_sum():
+    """In-scope sides with rows [x, 1] and [1, x], x = 10^4299: the sum has
+    H_1 = Z/(x^2 - 1), whose order is 8,598 nines."""
+    x = 10**4299
+    side = {"b1": 1, "b2_plus": 2, "b2_minus": 2, "K_squared": 8, "K_dot_B": 0,
+            "B_squared": 0, "genus": 1, "k": 1}
+    return {
+        "M": dict(side, name="M", embedding_free=[[x, 1]]),
+        "N": dict(side, name="N", embedding_free=[[1, x]]),
+        "gluing": {"a": [0, 0]},
+    }
+
+
+class TestLongResults:
+    def cli(self, *argv):
+        proc = run_python(["-m", "fibresum.cli", *argv])
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def test_catalog(self):
+        # b2_minus = 10n - 1 of E(n) has 4,301 digits.
+        proc = self.cli("catalog", "E", NINES_4300)
+        assert proc.returncode == 0
+        assert f'"b2_minus": {"9" * 4299}89,' in proc.stdout
+
+    @pytest.mark.parametrize("command", ["validate", "compute"])
+    def test_first_homology(self, tmp_path, command):
+        proc = self.cli(command, write_doc(tmp_path, long_h1_sum()))
+        assert proc.returncode == 0
+        if command == "compute":
+            assert f"H_1(X) = Z/{'9' * 8598}\n" in proc.stdout
+
+    def test_batch_keeps_every_item(self, tmp_path):
+        proc = self.cli("batch", write_doc(tmp_path, [K3_SUM, long_h1_sum()]))
+        assert proc.returncode == 0
+        assert "--- problem 0: ok\n" in proc.stdout and "--- problem 1: ok\n" in proc.stdout
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_limit_restored(self):
+        limit = sys.get_int_max_str_digits()
+        assert run(["catalog", "E", NINES_4300])[0] == 0
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestPinnedOutput:

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and README's "Library API" section names every one of them."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,11 @@ def test_star_import():
 def test_submodule_all(name):
     module = importlib.import_module(f"fibresum.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_readme_names_every_export():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library API", 1)[1].split("\n## ", 1)[0]
+    # A name counts when it opens a code span: `name` or `name(...)`.
+    named = set(re.findall(r"`(\w+)[`(]", section))
+    assert sorted(set(fibresum.__all__) - named) == []

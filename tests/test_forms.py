@@ -8,28 +8,27 @@ import pytest
 
 from fibresum import cli, engine
 from fibresum import (
-    CanonicalClass,
     FibreSumProblem,
     GluingClass,
     IntMatrix,
     ScopeError,
     analyse,
-    assemble_intersection_form,
-    canonical_class,
-    canonical_square,
     classify_form,
-    divisibility,
     elliptic_surface,
     embed_h2,
-    ionel_parker_checks,
+    sum_forms,
 )
-from fibresum.forms import InputDataError, PBlock, BlockForm
+from fibresum.forms import BlockForm, InputDataError, PBlock, UnknownParityError
 from helpers import elliptic_problem, make_side, random_scope_problem
 
 
 def x_mnp(m, n, p, t=None):
     """Twisted sum of two elliptic surfaces with gluing vector (p, 0)."""
     return elliptic_problem(m, n, a=(p, 0), t=t)
+
+
+def forms_of(problem):
+    return sum_forms(analyse(problem))
 
 
 def genus_two_problem():
@@ -75,14 +74,30 @@ class TestScopeGate:
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass((0, 0)))
         with pytest.raises(ScopeError):
-            canonical_class(analyse(problem))
+            sum_forms(analyse(problem))
         with pytest.raises(ScopeError):
             embed_h2(analyse(problem), (0, 0, 1), "M")
+
+    @pytest.mark.parametrize(
+        "side",
+        [
+            make_side("D", genus=1, k=2),
+            make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),)),
+            make_side("M", genus=1, b1=1, embedding=IntMatrix.from_rows([[2, 0]])),
+        ],
+        ids=["divisible", "side_torsion", "sum_torsion"],
+    )
+    def test_sum_forms_raises_on_every_gate(self, side):
+        analysis = analyse(FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0))))
+        assert analysis.scope_violations
+        with pytest.raises(ScopeError) as info:
+            sum_forms(analysis)
+        assert info.value.violations == list(analysis.scope_violations)
 
 
 class TestCanonicalClass:
     def test_twisted_elliptic(self):
-        cc = canonical_class(analyse(x_mnp(2, 3, 1)))
+        cc = forms_of(x_mnp(2, 3, 1)).canonical_class
         assert cc.r_coeffs == (-2, 0)
         assert cc.sigma_coeff == 3
         assert cc.b_coeff == 0
@@ -91,19 +106,19 @@ class TestCanonicalClass:
         assert cc.s_coeffs == (0, 0)
 
     def test_untwisted_torus_sum(self):
-        cc = canonical_class(analyse(elliptic_problem(3, 2, a=(0, 0), t=(0, 0))))
+        cc = forms_of(elliptic_problem(3, 2, a=(0, 0), t=(0, 0))).canonical_class
         assert cc.r_coeffs == (0, 0)
         assert cc.b_coeff == 0
 
     def test_genus_two_coefficients(self):
-        cc = canonical_class(analyse(genus_two_problem()))
+        cc = forms_of(genus_two_problem()).canonical_class
         assert cc.b_coeff == 2
         assert cc.eta == 3 and cc.eta_prime == 3
         assert cc.sigma_coeff == 6
 
     def test_basis_change_identity(self):
         problem = x_mnp(4, 3, 2, t=(5, -1))
-        cc = canonical_class(analyse(problem))
+        cc = forms_of(problem).canonical_class
         assert cc.sigma_coeff == cc.eta + cc.eta_prime
         assert cc.r_coeffs == (5 - 2 * cc.eta_prime, -1)
 
@@ -111,24 +126,24 @@ class TestCanonicalClass:
 class TestCanonicalSquare:
     def test_twisted_elliptic(self):
         problem = x_mnp(2, 3, 1)
-        check = canonical_square(canonical_class(analyse(problem)), problem)
+        check = forms_of(problem).k_squared
         assert check.lhs == 0 and check.rhs == 0 and check.ok
 
     def test_genus_two(self):
         problem = genus_two_problem()
-        check = canonical_square(canonical_class(analyse(problem)), problem)
+        check = forms_of(problem).k_squared
         assert check.lhs == 40 and check.rhs == 40
 
     def test_torus_sums_add_squares(self):
         problem = elliptic_problem(3, 4, a=(0, 0))
-        check = canonical_square(canonical_class(analyse(problem)), problem)
+        check = forms_of(problem).k_squared
         assert check.lhs == problem.M.K_squared + problem.N.K_squared
 
 
 class TestBlockForm:
     def test_untwisted_k3_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
+        bf = forms_of(problem).block_form
         assert (bf.pm_block.rank, bf.pm_block.signature, bf.pm_block.parity) == (20, -16, "even")
         assert bf.pair_s_sq_parities == (0, 0)
         assert bf.nucleus_b_sq == -4
@@ -136,28 +151,26 @@ class TestBlockForm:
 
     def test_twisted_parities(self):
         problem = elliptic_problem(2, 2, a=(1, 0))
-        bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
+        bf = forms_of(problem).block_form
         assert bf.pair_s_sq_parities == (1, 0)
 
     def test_genus_zero_has_no_pair_blocks(self):
         side = make_side("S", genus=0, b2_plus=2, b2_minus=2)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
-        bf = assemble_intersection_form(analyse(problem), canonical_class(analyse(problem)))
+        bf = forms_of(problem).block_form
         assert bf.pair_s_sq_parities == ()
 
 
 class TestClassifyForm:
     def test_even_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        cc = canonical_class(analyse(problem))
-        fc = classify_form(assemble_intersection_form(analyse(problem), cc), cc)
+        fc = classify_form(forms_of(problem).block_form)
         assert fc.parity == "even"
         assert fc.decomposition == "7H + 4E8(-1)"
 
     def test_odd_sum(self):
         problem = elliptic_problem(2, 2, a=(1, 0))
-        cc = canonical_class(analyse(problem))
-        fc = classify_form(assemble_intersection_form(analyse(problem), cc), cc)
+        fc = classify_form(forms_of(problem).block_form)
         assert fc.parity == "odd"
         assert fc.decomposition == "7<+1> + 39<-1>"
 
@@ -168,8 +181,7 @@ class TestClassifyForm:
             pair_s_sq_parities=(),
             nucleus_b_sq=-4,
         )
-        cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
-        fc = classify_form(bf, cc)
+        fc = classify_form(bf)
         assert fc.parity == "even"
         assert fc.decomposition == "1H"
 
@@ -180,10 +192,9 @@ class TestClassifyForm:
             N=problem.N,
             gluing=problem.gluing,
         )
-        cc = canonical_class(analyse(problem))
-        bf = assemble_intersection_form(analyse(problem), cc)
+        bf = forms_of(problem).block_form
         with pytest.raises(InputDataError, match="p_parity"):
-            classify_form(bf, cc)
+            classify_form(bf)
 
     def test_even_form_needs_signature_divisible_by_eight(self):
         bf = BlockForm(
@@ -192,9 +203,8 @@ class TestClassifyForm:
             pair_s_sq_parities=(),
             nucleus_b_sq=-2,
         )
-        cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
         with pytest.raises(InputDataError, match="divisible by 8"):
-            classify_form(bf, cc)
+            classify_form(bf)
 
     def test_positive_signature_even_form(self):
         bf = BlockForm(
@@ -203,8 +213,7 @@ class TestClassifyForm:
             pair_s_sq_parities=(),
             nucleus_b_sq=0,
         )
-        cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
-        fc = classify_form(bf, cc)
+        fc = classify_form(bf)
         assert fc.decomposition == "1H + 1E8(+1)"
 
     def test_nucleus_parity_is_bad_input(self):
@@ -215,6 +224,16 @@ class TestClassifyForm:
         with pytest.raises(InputDataError, match="characteristic"):
             cli.build_report(problem)
 
+    @pytest.mark.parametrize("parity", ["odd", "unknown"])
+    def test_sum_forms_checks_the_nucleus(self, parity):
+        # The nucleus is checked where K.B_X is computed, before any
+        # classification, so an unknown p_parity does not mask it.
+        side = make_side("P", genus=1, K_dot_B=1, p_parity=parity)
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
+        with pytest.raises(InputDataError, match="characteristic") as info:
+            sum_forms(analyse(problem))
+        assert not isinstance(info.value, UnknownParityError)
+
     def test_definite_refused(self):
         bf = BlockForm(
             pm_block=PBlock(0, -2, "even"),
@@ -222,39 +241,38 @@ class TestClassifyForm:
             pair_s_sq_parities=(),
             nucleus_b_sq=0,
         )
-        cc = CanonicalClass(0, 0, 0, 0, (), (), (), 0, 2, 1, 1)
-        fc = classify_form(bf, cc)
+        fc = classify_form(bf)
         assert fc.decomposition == "definite: classification out of scope"
 
 
 class TestDivisibility:
     def test_untwisted_k3_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        div = divisibility(canonical_class(analyse(problem)))
+        div = forms_of(problem).divisibility
         assert div.value == 2 and div.exact
 
     @pytest.mark.parametrize("a", [(1, 0), (3, 5), (1, 1)])
     def test_odd_gluing_indivisible(self, a):
         problem = elliptic_problem(2, 2, a=a)
-        assert divisibility(canonical_class(analyse(problem))).value == 1
+        assert forms_of(problem).divisibility.value == 1
 
     def test_even_gluing(self):
         problem = elliptic_problem(2, 2, a=(2, 0))
-        cc = canonical_class(analyse(problem))
-        assert cc.r_coeffs == (-2, 0)
-        assert divisibility(cc).value == 2
+        sf = forms_of(problem)
+        assert sf.canonical_class.r_coeffs == (-2, 0)
+        assert sf.divisibility.value == 2
 
     def test_zero_canonical_class(self):
         # E(1)#E(1) with trivial gluing produces the zero canonical class,
         # which is divisible by every integer: the coefficient gcd is 0.
         problem = elliptic_problem(1, 1, a=(0, 0))
-        div = divisibility(canonical_class(analyse(problem)))
+        div = forms_of(problem).divisibility
         assert div.value == 0 and div.exact
 
     def test_unknown_kbar_gives_bound_only(self):
         side = dataclasses.replace(elliptic_surface(2), kbar_divisibility=None)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        div = divisibility(canonical_class(analyse(problem)))
+        div = forms_of(problem).divisibility
         assert not div.exact
         assert div.value == 2
 
@@ -262,13 +280,13 @@ class TestDivisibility:
 class TestIonelParkerChecks:
     def test_twisted_elliptic(self):
         problem = x_mnp(2, 3, 1)
-        lines = ionel_parker_checks(problem, canonical_class(analyse(problem)))
+        lines = forms_of(problem).ionel_parker
         assert [line.lhs for line in lines] == [3, 0, 0]
         assert all(line.ok for line in lines)
 
     def test_genus_two(self):
         problem = genus_two_problem()
-        lines = ionel_parker_checks(problem, canonical_class(analyse(problem)))
+        lines = forms_of(problem).ionel_parker
         assert lines[0].lhs == lines[0].rhs == 2 + 2 + 2
         assert lines[1].lhs == 2
 
@@ -305,21 +323,19 @@ class TestSwapSymmetry:
             zero_a = GluingClass((0,) * (2 * problem.genus))
             problem = FibreSumProblem(M=problem.M, N=problem.N, gluing=zero_a)
             swapped = FibreSumProblem(M=problem.N, N=problem.M, gluing=zero_a)
-            cc = canonical_class(analyse(problem))
-            cs = canonical_class(analyse(swapped))
+            cc = forms_of(problem).canonical_class
+            cs = forms_of(swapped).canonical_class
             assert (cc.eta, cc.eta_prime) == (cs.eta_prime, cs.eta)
             assert (cc.kbar_m_sq, cc.kbar_n_sq) == (cs.kbar_n_sq, cs.kbar_m_sq)
             assert cc.sigma_coeff == cs.sigma_coeff
-            canonical_square(cs, swapped)
-            ionel_parker_checks(swapped, cs)
 
     def test_swap_negates_t(self):
         problem = x_mnp(3, 3, 0, t=(4, -2))
         swapped = FibreSumProblem(
             M=problem.N, N=problem.M, gluing=problem.gluing, t=(-4, 2)
         )
-        cc = canonical_class(analyse(problem))
-        cs = canonical_class(analyse(swapped))
+        cc = forms_of(problem).canonical_class
+        cs = forms_of(swapped).canonical_class
         assert cs.r_coeffs == tuple(-r for r in cc.r_coeffs)
         assert cs.sigma_coeff == cc.sigma_coeff
 
@@ -329,9 +345,6 @@ class TestRandomizedIdentities:
         rng = random.Random(616)
         for _ in range(60):
             problem = random_scope_problem(rng)
-            cc = canonical_class(analyse(problem))
-            check = canonical_square(cc, problem)
-            assert check.ok
-            bf = assemble_intersection_form(analyse(problem), cc)
-            assert bf.rank >= 2
-            ionel_parker_checks(problem, cc)
+            sf = forms_of(problem)
+            assert sf.k_squared.ok
+            assert sf.block_form.rank >= 2

@@ -405,7 +405,7 @@ class TestIntMatrix:
     def test_entry_types_pinned(self):
         # bool, float and str are rejected by name; int subclasses pass.
         for bad in (True, 2.0, "3"):
-            with pytest.raises(ValueError, match=re.escape(f"matrix entries must be ints, got {bad!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"matrix entries: expected an integer, got {bad!r}")):
                 IntMatrix(1, 3, (1, bad, 4))
         plus = enum.IntEnum("Sign", "PLUS").PLUS
         assert IntMatrix(1, 3, (1, plus, 4)).entries == (1, plus, 4)

@@ -329,7 +329,7 @@ class TestHandBuiltIntegers:
     @pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "str"])
     @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     def test_non_integer_rejected(self, build, bad):
-        with pytest.raises(ValueError, match=re.escape(f"must be ints, got {bad!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {bad!r}")):
             build(bad)
 
     @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
