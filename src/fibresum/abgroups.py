@@ -49,9 +49,6 @@ class AbGroup:
             return False
         return all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:]))
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts: list[str] = []
         if self.free_rank == 1:

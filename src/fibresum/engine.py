@@ -111,10 +111,11 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     The kernel of S gives d and the alpha basis.  S and its transpose
     share their Smith diagonal, so the rim-tori group, the cokernel of
     the transpose, is Z^d plus the invariant factors of S, and H^1 of the
-    sum, the kernel of the transpose, has the free rank of coker S.  When
-    neither side has torsion in H_1 and gcd(k_M, k_N) = 1 the meridian
-    dies and H_1 of the sum is coker S; otherwise H_1 needs one more
-    reduction, of its own presentation (see :func:`_first_homology`).
+    sum, the kernel of the transpose, has the free rank of coker S.  H_1
+    of the sum is an extension of coker S by the torsion and meridian
+    generators modulo the kernel of S; :func:`_sum_homology` reads it off
+    coker S (meridian dies), off coker S and a small presentation (coker
+    S free), or reduces the full presentation (coker S has torsion).
     The forms scope verdict is evaluated here too, once per sum.
 
     A supplied t-vector must have length d; a ``model.DocumentError`` is
@@ -131,8 +132,7 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     if problem.t is not None and len(problem.t) != d:
         raise model.DocumentError([f"t must have length d = {d}, got {len(problem.t)}"])
     a_adapted = alpha_basis.mul_vector(problem.gluing.a)
-    meridian_dies = not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
-    h1 = coker if meridian_dies else _first_homology(problem)
+    h1 = _sum_homology(problem, coker, alpha_basis, a_adapted)
     return SumAnalysis(
         problem=problem,
         alpha_basis=alpha_basis,
@@ -171,8 +171,58 @@ def _betti_numbers(problem: FibreSumProblem, d: int) -> BettiNumbers:
     )
 
 
+def _sum_homology(
+    problem: FibreSumProblem, coker: AbGroup, alpha_basis: IntMatrix, a_adapted: tuple[int, ...]
+) -> AbGroup:
+    """H_1 of the sum from coker S, its kernel basis and the adapted gluing
+    vector, reducing the full presentation only when coker S has torsion.
+
+    The presentation of :func:`_first_homology` has generators F (the
+    free ones of both sides) and T (their torsion generators, then the
+    meridian), and relation columns P = [[0, S], [O, E]]: O is the
+    diagonal of the orders of T, and row i of E holds the images of the
+    surface curves in generator i of T.  Projecting onto F sends the
+    columns of P onto those of S, so H_1 maps onto coker S; a class (x, y)
+    with x = S v differs by the relation P(0, v) from (0, y - E v), so the
+    kernel is the image of Z^T, in which (0, y) dies iff y = O r + E v
+    with S v = 0.  With the rows of the alpha basis spanning ker S, that
+    kernel is coker Q for Q = [O | E alpha^T], one row per generator of T:
+    its order at its own column and ``alpha_basis.mul_vector`` of its
+    images (``a_adapted`` for the meridian).  So
+
+        0 -> coker Q -> H_1 -> coker S -> 0
+
+    is exact.  Three cases follow.
+      (a) Neither side has H_1 torsion and gcd(k_M, k_N) = 1: T is the
+          meridian of order 1, coker Q = 0 and H_1 = coker S.
+      (b) coker S is free: a free group is projective, so the sequence
+          splits and H_1 = Z^(free rank of coker S) + coker Q.  When d = 0,
+          Q is the diagonal O and its cokernel needs no reduction.
+      (c) Otherwise the sequence need not split, and the full presentation
+          is reduced.
+    """
+    M, N = problem.M, problem.N
+    n = math.gcd(M.k, N.k)
+    if not M.h1_torsion and not N.h1_torsion and n == 1:
+        return coker
+    if coker.torsion:
+        return _first_homology(problem)
+    torsion = [*M.embedding_torsion, *N.embedding_torsion]
+    orders = [order for order, _ in torsion] + [n]
+    if not alpha_basis.rows:
+        return abgroups.normal_form(coker.free_rank, orders)
+    images = [alpha_basis.mul_vector(row) for _, row in torsion] + [a_adapted]
+    q = IntMatrix.from_rows(
+        [
+            [order if j == i else 0 for j in range(len(orders))] + list(image)
+            for i, (order, image) in enumerate(zip(orders, images))
+        ]
+    )
+    return abgroups.direct_sum(AbGroup(coker.free_rank), intlat.cokernel_presentation(q))
+
+
 def _first_homology(problem: FibreSumProblem) -> AbGroup:
-    """H_1 of the sum as a cokernel.
+    """H_1 of the sum as the cokernel of its full presentation.
 
     Generators, in order: those of H_1(M) and of H_1(N) (free before
     torsion on each side), then Z/n with n = gcd(k_M, k_N).  Each has its
@@ -253,7 +303,7 @@ def complement_invariants(side: ManifoldSide) -> ComplementInvariants:
     universal coefficients.
     """
     h1 = abgroups.normal_form(side.b1, side.h1_torsion + (side.k,))
-    ker_i_rank = 2 * side.genus - side.b1 + intlat.cokernel_presentation(side.embedding_free).free_rank
+    ker_i_rank = 2 * side.genus - intlat.rank(side.embedding_free)
     h2_rank = (side.b2 - 1) + ker_i_rank
     return ComplementInvariants(
         h1=h1,

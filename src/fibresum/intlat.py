@@ -12,9 +12,10 @@ Majewski, "Integer matrix diagonalization", J. Symb. Comput. 1997), which
 keeps the number of Euclid rounds and the growth of the transforms down.
 Each answer has one function, which tracks only the transforms it reads:
 :func:`smith_normal_form` U and V, :func:`kernel_and_cokernel` V alone,
-:func:`cokernel_presentation` (rank A = A.rows - its free rank) neither.
-D, every kernel basis (canonicalised by HNF) and every cokernel do not
-depend on the pivot rule; only U and V do.
+:func:`cokernel_presentation` neither.  :func:`rank`, the rank over Q,
+reduces nothing: it is one fraction-free elimination.  D, every kernel
+basis (canonicalised by HNF) and every cokernel do not depend on the
+pivot rule; only U and V do.
 
 :func:`kernel_and_cokernel` skips the reduction exactly when a tall A has
 full column rank and every invariant factor 1, that is when d_n, the gcd
@@ -43,6 +44,7 @@ __all__ = [
     "smith_normal_form",
     "kernel_and_cokernel",
     "cokernel_presentation",
+    "rank",
 ]
 
 
@@ -494,3 +496,30 @@ def cokernel_presentation(A: IntMatrix) -> AbGroup:
     diagonal entries greater than 1.
     """
     return _cokernel(A, _reduce(A)[0])
+
+
+def rank(A: IntMatrix) -> int:
+    """The rank of A over Q, from one fraction-free (Bareiss) elimination.
+
+    Columns are taken in order; one with no nonzero entry in the rows not
+    yet used as pivots is skipped.  Each pivot row clears its column from
+    the rows below it, and every new entry is divided exactly by the
+    previous pivot: by Sylvester's identity it is the minor on the pivot
+    rows so far, its own row, the pivot columns so far and its own
+    column.  The rank is the number of pivots.
+    """
+    rows = A.to_rows()
+    r, divisor = 0, 1
+    for j in range(A.cols):
+        i = next((i for i in range(r, A.rows) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        p = pivot[j]
+        for row in rows[r + 1 :]:
+            x = row[j]
+            row[j + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[j + 1 :], pivot[j + 1 :])]
+        divisor = p
+        r += 1
+    return r

@@ -5,6 +5,7 @@ cokernel-equivalence lemma."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -219,6 +220,19 @@ def random_problem_any(rng: random.Random, *, g_max: int = 4) -> FibreSumProblem
         problem = FibreSumProblem(M=side_m, N=side_n, gluing=GluingClass(a), t=None)
         if not validate_problem(problem):
             return problem
+
+
+def h1_case(analysis) -> str:
+    """The case by which ``analyse`` found H_1 of the sum: "a" when the
+    meridian dies (no side torsion, gcd(k_M, k_N) = 1), else "c" when
+    coker S has torsion (the rim tori carry the invariant factors of S),
+    else "b0" or "b+" as d = 0 or d > 0."""
+    M, N = analysis.problem.M, analysis.problem.N
+    if not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1:
+        return "a"
+    if analysis.rim_tori.torsion:
+        return "c"
+    return "b0" if analysis.d == 0 else "b+"
 
 
 # -- the two presentations of the cokernel-equivalence lemma -----------------

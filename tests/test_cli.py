@@ -2,12 +2,11 @@
 
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fibresum import cli, forms, intlat, model
 from fibresum.intlat import IntMatrix
@@ -569,22 +568,68 @@ def reference_json(value):
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-json_trees = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda children: st.lists(children)
-    | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(), children),
-    max_leaves=20,
+TEXT_POOLS = (
+    [chr(c) for c in range(0x20, 0x7F)],
+    [chr(c) for c in range(0x20)] + ["\x7f", '"', "\\"],
+    [chr(c) for c in range(0x80, 0x800)],
+    [chr(c) for c in range(0x800, 0xD800, 7)] + [chr(c) for c in range(0xE000, 0x10000, 7)],
+    [chr(c) for c in range(0x10000, 0x110000, 4099)],
 )
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(rng.choice(TEXT_POOLS)) for _ in range(rng.randint(0, 8)))
+
+
+def random_leaf(rng: random.Random):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice((1, -1)) * rng.getrandbits(rng.choice((1, 4, 16, 63, 64, 65, 200)))
+    return random_text(rng)
+
+
+def random_json_tree(rng: random.Random, leaves: int = 20):
+    """A tree of at most ``leaves`` leaves: None, bools, ints of any size
+    and text under lists, tuples and dicts with text keys, empty ones
+    included."""
+    if leaves <= 1 or rng.random() < 0.1:
+        return random_leaf(rng)
+    children = []
+    while leaves and rng.random() < 0.9:
+        share = rng.randint(1, leaves)
+        children.append(random_json_tree(rng, share))
+        leaves -= share
+    kind = rng.randrange(3)
+    if kind == 0:
+        return children
+    if kind == 1:
+        return tuple(children)
+    return {random_text(rng): child for child in children}
+
+
+def leaf_count(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(map(leaf_count, value))
+    return 1
 
 
 class TestDumpStructured:
     """The canonical emitter against ``json.dumps(indent=2, sort_keys=True)``."""
 
-    @settings(max_examples=500, deadline=None)
-    @given(json_trees)
-    def test_matches_json_dumps(self, value):
-        assert cli.dump_structured(value) == reference_json(value)
+    def test_matches_json_dumps(self):
+        rng = random.Random(20261019)
+        sizes = []
+        for _ in range(600):
+            value = random_json_tree(rng)
+            sizes.append(leaf_count(value))
+            assert cli.dump_structured(value) == reference_json(value)
+        assert max(sizes) <= 20 and sum(size >= 10 for size in sizes) >= 100
 
     @pytest.mark.parametrize(
         "value",

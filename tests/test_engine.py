@@ -3,6 +3,7 @@ the boundary diffeomorphism action, and complement invariants."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from fibresum import (
 )
 from helpers import (
     elliptic_problem,
+    h1_case,
     identity,
     lemma_cokernels,
     make_side,
@@ -94,7 +96,7 @@ class TestFirstHomology:
     def test_elliptic_simply_connected(self):
         for a in ((0, 0), (1, 0), (4, -7)):
             group = analyse(elliptic_problem(2, 3, a=a)).h1
-            assert group.is_trivial()
+            assert group == AbGroup(0)
 
     def test_divisible_surfaces_contribute_torsion(self):
         side = make_side("D", genus=1, k=2)
@@ -128,7 +130,7 @@ class TestFirstHomology:
         side = make_side("D", genus=1, k=2)
         glued = lambda a: FibreSumProblem(M=side, N=side, gluing=GluingClass(a))
         assert analyse(glued((0, 0))).h1 == AbGroup(0, (2,))
-        assert analyse(glued((1, 0))).h1.is_trivial()
+        assert analyse(glued((1, 0))).h1 == AbGroup(0)
 
     def test_torsion_embedding_reaches_target(self):
         # Embedding hitting the Z/4 factor of H_1(M) with index two.
@@ -142,19 +144,34 @@ class TestFirstHomology:
         problem = FibreSumProblem(M=side, N=trivial, gluing=GluingClass((0, 0)))
         assert analyse(problem).h1 == AbGroup(0, (2,))
 
+    def test_free_part_of_coker_kept_beside_torsion(self):
+        # S = (0 0) has d = 2 and coker S = Z, free; the Z/2 of M survives
+        # beside it, and the gluing kills the meridian.
+        side = make_side(
+            "T", genus=1, b1=1, embedding=IntMatrix.from_rows([[0, 0]]), h1_torsion=(2,)
+        )
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((1, 0)))
+        assert analyse(problem).d == 2
+        assert analyse(problem).h1 == engine._first_homology(problem) == AbGroup(1, (2,))
+
     def test_cokernel_shortcut_matches_presentation(self):
         # analyse reads H_1 off coker S when both sides are torsion-free
-        # and gcd(k_M, k_N) = 1; the full presentation must agree on every
-        # draw, so a shortcut taken outside those conditions shows too.
+        # and gcd(k_M, k_N) = 1, off coker S and a small presentation when
+        # coker S is free, and reduces the full presentation only when
+        # coker S has torsion; the full presentation must agree on every
+        # draw, so a shortcut taken outside its conditions shows too.
         rng = random.Random(2026)
         draws = [random_scope_problem(rng, with_t=False) for _ in range(300)]
         draws += [random_problem_any(rng) for _ in range(300)]
         qualifying = 0
+        cases = Counter()
         for problem in draws:
             M, N = problem.M, problem.N
             qualifying += not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
             assert analyse(problem).h1 == engine._first_homology(problem)
+            cases[h1_case(analyse(problem))] += 1
         assert qualifying >= 300
+        assert cases["b0"] >= 100 and cases["b+"] >= 50 and cases["c"] >= 30
 
 
 class TestFirstCohomologyRank:
@@ -186,12 +203,12 @@ class TestRimToriGroup:
         side = identity_embedding_side("I", genus=1)
         other = make_side("O", genus=1)
         problem = FibreSumProblem(M=side, N=other, gluing=GluingClass((0, 0)))
-        assert analyse(problem).rim_tori.is_trivial()
+        assert analyse(problem).rim_tori == AbGroup(0)
 
     def test_genus_zero(self):
         side = make_side("S", genus=0)
         problem = FibreSumProblem(M=side, N=side, gluing=GluingClass(()))
-        assert analyse(problem).rim_tori.is_trivial()
+        assert analyse(problem).rim_tori == AbGroup(0)
 
     def test_free_rank_is_d(self):
         rng = random.Random(55)
@@ -273,10 +290,13 @@ class TestSmithBudget:
     wrapper runs it: one of the stacked embedding per report, or none when
     it is injective with every invariant factor 1 (certified without
     reducing, as on the genus ladder; the E(n) sides have b1 = 0, so their
-    S is wide and always reduced); one of the H_1 presentation when a side
-    has H_1 torsion or gcd(k_M, k_N) > 1; one for the split classes of
-    divisible surfaces; one per complement; and none in parsing, with or
-    without a t-vector."""
+    S is wide and always reduced); for H_1, when a side has H_1 torsion or
+    gcd(k_M, k_N) > 1, none when d = 0 and coker S is free, one of the
+    t x (t + d) presentation of the torsion and meridian generators when
+    d > 0 and coker S is free, and one of the full presentation when
+    coker S has torsion; one for the split classes of divisible surfaces;
+    none for a complement, whose rank comes from an elimination; and none
+    in parsing, with or without a t-vector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -300,6 +320,19 @@ class TestSmithBudget:
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
         assert "skipped" in cli.build_report(problem)["forms"]
         assert len(calls) == 2
+
+    def test_gated_report_certified(self, calls):
+        # S = I_2 is certified, d = 0 and coker S = 0 is free, so H_1 is
+        # read off the orders; indivisible surfaces need no split-class
+        # reduction.
+        side = make_side(
+            "T", genus=1, b1=2, embedding=identity(2), h1_torsion=(2,), embedding_torsion=((2, (1, 0)),)
+        )
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((1, 0)))
+        report = cli.build_report(problem)
+        assert "skipped" in report["forms"]
+        assert report["h1"]["torsion"] == [2]
+        assert len(calls) == 0
 
     def test_gated_report_divisible_surface(self, calls):
         side = make_side("D", genus=1, k=2)
@@ -342,7 +375,7 @@ class TestSmithBudget:
 
     def test_complement_invariants(self, calls):
         complement_invariants(make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),)))
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     DOC_WITH_T = {"M": {"catalog": "E", "n": 2}, "N": {"catalog": "E", "n": 3},
                   "gluing": {"a": [1, 0]}, "t": [1, 0]}
@@ -409,7 +442,7 @@ class TestPhiAction:
 class TestComplementInvariants:
     def test_elliptic_fibre(self):
         inv = complement_invariants(elliptic_surface(2))
-        assert inv.h1.is_trivial()
+        assert inv.h1 == AbGroup(0)
         assert inv.ker_i_rank == 2
         assert inv.h2_rank == 23
         assert inv.h2_torsion == ()
@@ -423,9 +456,18 @@ class TestComplementInvariants:
     def test_sphere(self):
         side = make_side("S", genus=0, b2_plus=1, b2_minus=1)
         inv = complement_invariants(side)
-        assert inv.h1.is_trivial()
+        assert inv.h1 == AbGroup(0)
         assert inv.ker_i_rank == 0
         assert inv.h2_rank == 1
+
+    def test_rank_deficient_embedding(self):
+        # The embedding has rank 2 (its second row is twice the first), so
+        # two of the four curves on the push-off bound in the complement.
+        rows = [[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 3, 0]]
+        side = make_side("R", genus=2, b1=3, embedding=IntMatrix.from_rows(rows))
+        inv = complement_invariants(side)
+        assert inv.ker_i_rank == 2
+        assert inv.h2_rank == side.b2 - 1 + 2
 
     def test_torsion_merges(self):
         side = make_side(

@@ -309,6 +309,13 @@ class TestEmbedH2:
         assert (record.b_x, record.sigma) == (1, 0)
         assert record.sigma_basis == "Sigma_X_prime"
 
+    def test_each_side_reads_its_own_dual_square(self):
+        # E(2) has B^2 = -2 and E(3) has B^2 = -3, so the push-off
+        # coefficient tells which side's square was read.
+        analysis = analyse(elliptic_problem(2, 3))
+        assert embed_h2(analysis, (0, 1, 5), "M").sigma == 5 + 2
+        assert embed_h2(analysis, (0, 1, 5), "N").sigma == 5 + 3
+
     def test_side_argument_checked(self):
         problem = elliptic_problem(2, 2)
         with pytest.raises(ValueError, match="side"):

@@ -342,6 +342,40 @@ class TestRank:
     def test_empty(self):
         assert rank(IntMatrix.zeros(0, 5)) == 0
 
+    def test_elimination_against_sympy_and_cokernel(self):
+        # intlat.rank eliminates without reducing; sympy and the free rank
+        # of the cokernel are two independent answers.  Draws include zero,
+        # repeated and dependent rows, entries up to 2^70, and 0 x n and
+        # n x 0 shapes.
+        from sympy import Matrix
+
+        rng = random.Random(20261019)
+        kinds = set()
+        for i in range(240):
+            m, n = rng.randint(0, 7), rng.randint(0, 7)
+            rows = random_matrix(rng, m, n, rng.choice([1, 3, 2**20, 2**70])).to_rows()
+            kind = i % 4 if m >= 3 else 0
+            a, b, c = rng.sample(range(m), 3) if kind else (0, 0, 0)
+            if kind == 1:
+                rows[c] = [0] * n
+            elif kind == 2:
+                rows[c] = list(rows[a])
+            elif kind == 3:
+                rows[c] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[a], rows[b])]
+            kinds.add(kind)
+            A = IntMatrix.from_rows(rows, cols=n)
+            expected = Matrix(rows).rank() if m and n else 0
+            assert intlat.rank(A) == expected == rank(A)
+        assert kinds == {0, 1, 2, 3}
+        for m, n in ((0, 0), (0, 4), (4, 0)):
+            assert intlat.rank(IntMatrix.zeros(m, n)) == 0
+
+    def test_elimination_skips_pivotless_columns(self):
+        # Column 1 has no pivot below row 0 and column 3 none at all.
+        A = IntMatrix.from_rows([[2, 1, 0, 0, 5], [4, 2, 3, 0, 1], [6, 3, 3, 0, 6]])
+        assert intlat.rank(A) == 2
+        assert intlat.rank(IntMatrix.from_rows([[0, 0, 7], [0, 0, -7], [0, 0, 0]])) == 1
+
 
 class TestKernelBasis:
     def test_zero_map(self):

@@ -196,6 +196,58 @@ class TestParseProblem:
         explicit = dict(side, b1=5, embedding_free=[[0, 0]] * 5)
         assert model.parse_side(explicit, "M").embedding_free == IntMatrix.zeros(5, 2)
 
+    def test_implied_cells_cap_at_its_size(self):
+        # At g = 512 a row has 1024 cells, so the cap admits exactly 1024
+        # omitted rows, counted from whichever kind the document omits.
+        two_g = 1024
+        rows = model.MAX_IMPLIED_CELLS // two_g
+        assert rows * two_g == model.MAX_IMPLIED_CELLS
+        side = {"name": "S", "b1": rows, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+                "K_dot_B": 0, "B_squared": 0, "genus": two_g // 2, "k": 1}
+        torsion_row = {"modulus": 2, "row": [0] * two_g}
+        # Omitted free rows at the cap; the torsion row the document gives
+        # is not implied.
+        parsed = model.parse_side(dict(side, h1_torsion=[2], embedding_torsion=[torsion_row]), "M")
+        assert (parsed.embedding_free.rows, len(parsed.embedding_torsion)) == (rows, 1)
+        # Omitted torsion rows at the cap; the free row given is not implied.
+        parsed = model.parse_side(
+            dict(side, b1=1, embedding_free=[[0] * two_g], h1_torsion=[2] * rows), "M"
+        )
+        assert (parsed.embedding_free.rows, len(parsed.embedding_torsion)) == (1, rows)
+        # One omitted row more, of either kind, is refused before anything
+        # is allocated.
+        for extra, count in (({"b1": rows + 1}, "0"), ({"h1_torsion": [2]}, "1")):
+            with pytest.raises(DocumentError) as caught:
+                model.parse_side(dict(side, **extra), "M")
+            b1 = extra.get("b1", rows)
+            assert caught.value.messages == [
+                f"M: omitted embedding rows would hold {rows + 1} x {two_g} cells, more than "
+                f"{model.MAX_IMPLIED_CELLS} (b1 = {b1}, genus = 512, {count} torsion factor(s))"
+            ]
+
+    def test_omitted_torsion_rows_are_zero(self):
+        # With rows of zeros the Z/2 of M survives in the sum; the gluing
+        # kills the meridian.  A row with a unit would kill the Z/2 too.
+        side = {"name": "T", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 12,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, "h1_torsion": [2]}
+        problem = parse_problem({"M": side, "N": {"catalog": "E", "n": 2}, "gluing": {"a": [1, 0]}})
+        assert validate_problem(problem) == []
+        assert problem.M.embedding_torsion == ((2, (0, 0)),)
+        assert analyse(problem).h1 == AbGroup(0, (2,))
+        moved = dataclasses.replace(problem.M, embedding_torsion=((2, (1, 0)),))
+        assert analyse(dataclasses.replace(problem, M=moved)).h1 == AbGroup(0)
+
+    @pytest.mark.parametrize("item", [{"modulus": 2, "row": [0, 0], "order": 2}, {"modulus": 2}, [2, [0, 0]]])
+    def test_embedding_torsion_item_needs_exactly_its_fields(self, item):
+        side = {"name": "T", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 12,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, "h1_torsion": [2],
+                "embedding_torsion": [item]}
+        with pytest.raises(DocumentError) as caught:
+            model.parse_side(side, "M")
+        assert caught.value.messages == [
+            "M.embedding_torsion[0]: expected an object with fields 'modulus' and 'row'"
+        ]
+
     @pytest.mark.parametrize(
         "row, message",
         [

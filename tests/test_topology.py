@@ -9,6 +9,7 @@ moves.
 
 import dataclasses
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from fibresum import (
     model,
     phi_action_h1,
 )
-from helpers import column, make_side, random_problem_any, random_scope_problem, random_unimodular
+from helpers import column, h1_case, make_side, random_problem_any, random_scope_problem, random_unimodular
 
 
 def mayer_vietoris_h1(problem: FibreSumProblem):
@@ -72,8 +73,13 @@ class TestMayerVietoris:
         rng = random.Random("mayer-vietoris")
         draws = [random_problem_any(rng) for _ in range(250)]
         draws += [random_scope_problem(rng, with_t=False) for _ in range(250)]
+        cases = Counter()
         for problem in draws:
-            assert mayer_vietoris_h1(problem) == analyse(problem).h1
+            analysis = analyse(problem)
+            assert mayer_vietoris_h1(problem) == analysis.h1
+            cases[h1_case(analysis)] += 1
+        # Every way analyse finds H_1 is checked.
+        assert cases["a"] >= 100 and cases["b0"] >= 100 and cases["b+"] >= 50 and cases["c"] >= 30
 
     def test_meridian_order_is_the_gcd(self):
         # Two sides with b1 = 0 and no torsion: only the meridians survive,
