@@ -26,7 +26,7 @@ print(f"  check: U A V = D holds, det U = {snf.U.det()}, det V = {snf.V.det()}")
 
 print()
 print("Kernels come back as saturated bases (direct summands):")
-basis, _ = kernel_and_cokernel(IntMatrix.from_rows([[2, 4, -2], [1, 2, -1]]))
+basis, _, _ = kernel_and_cokernel(IntMatrix.from_rows([[2, 4, -2], [1, 2, -1]]))
 print(f"  kernel of [[2,4,-2],[1,2,-1]] has basis {basis.to_rows()}")
 stacked = smith_normal_form(basis)
 print(f"  saturation certificate: Smith diagonal of the basis is {stacked.diagonal()}")

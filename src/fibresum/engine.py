@@ -102,21 +102,22 @@ class SumAnalysis:
 
 
 def analyse(problem: FibreSumProblem) -> SumAnalysis:
-    """Every homological invariant of the sum from the kernel and cokernel
-    of the stacked free embedding S : Z^2g -> Z^(b1(M)+b1(N)), computed
-    once by ``intlat.kernel_and_cokernel``.  That takes one Smith
-    reduction of S, or none when S is injective with every invariant
-    factor 1 (then d = 0, coker S is free and the rim tori are free).
+    """Every homological invariant of the sum from the Smith form of the
+    stacked free embedding S : Z^2g -> Z^(b1(M)+b1(N)): its kernel, its
+    cokernel and the lifts of that cokernel's torsion, computed once by
+    ``intlat.kernel_and_cokernel``.  That takes one Smith reduction of S,
+    or none when S is injective with every invariant factor 1 (then
+    d = 0, coker S is free, the rim tori are free and there are no lifts).
 
     The kernel of S gives d and the alpha basis.  S and its transpose
     share their Smith diagonal, so the rim-tori group, the cokernel of
     the transpose, is Z^d plus the invariant factors of S, and H^1 of the
     sum, the kernel of the transpose, has the free rank of coker S.  H_1
-    of the sum is an extension of coker S by the torsion and meridian
-    generators modulo the kernel of S; :func:`_sum_homology` reads it off
-    coker S (meridian dies), off coker S and a small presentation (coker
-    S free), or reduces the full presentation (coker S has torsion).
-    The forms scope verdict is evaluated here too, once per sum.
+    of the sum is that free part plus the cokernel of one presentation R,
+    which :func:`_sum_homology` builds from the same Smith form and the
+    torsion and meridian generators; no matrix holding S is reduced
+    again, and R is reduced only when it is not diagonal.  The forms
+    scope verdict is evaluated here too, once per sum.
 
     A supplied t-vector must have length d; a ``model.DocumentError`` is
     raised otherwise, so every analysis has a t-vector of the right
@@ -124,7 +125,7 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     """
     M, N = problem.M, problem.N
     stacked = model.stacked_free_embedding(problem)
-    alpha_basis, coker = intlat.kernel_and_cokernel(stacked)
+    alpha_basis, coker, lifts = intlat.kernel_and_cokernel(stacked)
     for vec in alpha_basis.to_rows():
         if any(stacked.mul_vector(vec)):
             raise AssertionError(f"alpha basis vector {vec} is not in the kernel of the embedding")
@@ -132,7 +133,7 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     if problem.t is not None and len(problem.t) != d:
         raise model.DocumentError([f"t must have length d = {d}, got {len(problem.t)}"])
     a_adapted = alpha_basis.mul_vector(problem.gluing.a)
-    h1 = _sum_homology(problem, coker, alpha_basis, a_adapted)
+    h1 = _sum_homology(problem, coker, lifts, alpha_basis, a_adapted)
     return SumAnalysis(
         problem=problem,
         alpha_basis=alpha_basis,
@@ -172,81 +173,59 @@ def _betti_numbers(problem: FibreSumProblem, d: int) -> BettiNumbers:
 
 
 def _sum_homology(
-    problem: FibreSumProblem, coker: AbGroup, alpha_basis: IntMatrix, a_adapted: tuple[int, ...]
+    problem: FibreSumProblem,
+    coker: AbGroup,
+    lifts: IntMatrix,
+    alpha_basis: IntMatrix,
+    a_adapted: tuple[int, ...],
 ) -> AbGroup:
-    """H_1 of the sum from coker S, its kernel basis and the adapted gluing
-    vector, reducing the full presentation only when coker S has torsion.
+    """H_1 of the sum from the Smith form of S: its cokernel, the lifts of
+    that cokernel's torsion, and the kernel basis.
 
-    The presentation of :func:`_first_homology` has generators F (the
-    free ones of both sides) and T (their torsion generators, then the
-    meridian), and relation columns P = [[0, S], [O, E]]: O is the
-    diagonal of the orders of T, and row i of E holds the images of the
-    surface curves in generator i of T.  Projecting onto F sends the
-    columns of P onto those of S, so H_1 maps onto coker S; a class (x, y)
-    with x = S v differs by the relation P(0, v) from (0, y - E v), so the
-    kernel is the image of Z^T, in which (0, y) dies iff y = O r + E v
-    with S v = 0.  With the rows of the alpha basis spanning ker S, that
-    kernel is coker Q for Q = [O | E alpha^T], one row per generator of T:
-    its order at its own column and ``alpha_basis.mul_vector`` of its
-    images (``a_adapted`` for the meridian).  So
-
-        0 -> coker Q -> H_1 -> coker S -> 0
-
-    is exact.  Three cases follow.
-      (a) Neither side has H_1 torsion and gcd(k_M, k_N) = 1: T is the
-          meridian of order 1, coker Q = 0 and H_1 = coker S.
-      (b) coker S is free: a free group is projective, so the sequence
-          splits and H_1 = Z^(free rank of coker S) + coker Q.  When d = 0,
-          Q is the diagonal O and its cokernel needs no reduction.
-      (c) Otherwise the sequence need not split, and the full presentation
-          is reduced.
+    The full presentation is P = [[S, 0], [E, O]].  Its rows are F, the
+    free generators of both sides, then T: the torsion generators of M
+    and of N, then the meridian of order n = gcd(k_M, k_N).  Its columns
+    are the 2g surface-curve relations, then one order column per
+    generator of T: O is the diagonal of the orders, and row i of E holds
+    the images of the curves in generator i of T (the gluing vector for
+    the meridian).  Let U S V = D be the Smith form.  Then diag(U, I) P
+    diag(V, I) = [[D, 0], [E V, O]] has the same cokernel, and
+      - a column with d_j = 1 is the only entry of its F row, so that
+        generator and relation drop out;
+      - the F rows past the rank of S are zero and give Z^(free rank of
+        coker S);
+      - the kernel columns of V may be replaced by the rows of the alpha
+        basis, a unimodular change inside those columns;
+      - a meridian of order n = 1 drops out with its order column (every
+        torsion generator has order >= 2).
+    That leaves R = [[diag(tau), 0, 0], [E W, E alpha^T, O']], where tau
+    is the torsion of coker S, W holds the lifts (the columns of V at
+    those factors), and O' holds the orders of T', which is T without a
+    meridian of order 1.  So H_1 = Z^(free rank of coker S) + coker R.  Row
+    ``lifts.mul_vector(e) + alpha_basis.mul_vector(e)`` of E W and
+    E alpha^T belongs to a generator with images e; the meridian's
+    middle block is ``a_adapted``.  When both blocks are 0, R is diagonal
+    and needs no reduction.
     """
     M, N = problem.M, problem.N
-    n = math.gcd(M.k, N.k)
-    if not M.h1_torsion and not N.h1_torsion and n == 1:
-        return coker
-    if coker.torsion:
-        return _first_homology(problem)
     torsion = [*M.embedding_torsion, *N.embedding_torsion]
-    orders = [order for order, _ in torsion] + [n]
-    if not alpha_basis.rows:
-        return abgroups.normal_form(coker.free_rank, orders)
-    images = [alpha_basis.mul_vector(row) for _, row in torsion] + [a_adapted]
-    q = IntMatrix.from_rows(
-        [
-            [order if j == i else 0 for j in range(len(orders))] + list(image)
-            for i, (order, image) in enumerate(zip(orders, images))
-        ]
-    )
-    return abgroups.direct_sum(AbGroup(coker.free_rank), intlat.cokernel_presentation(q))
-
-
-def _first_homology(problem: FibreSumProblem) -> AbGroup:
-    """H_1 of the sum as the cokernel of its full presentation.
-
-    Generators, in order: those of H_1(M) and of H_1(N) (free before
-    torsion on each side), then Z/n with n = gcd(k_M, k_N).  Each has its
-    order (0 if free) and its images of the surface basis curves, the
-    pairings with the gluing class for Z/n.  Each nonzero order gives one
-    relation column, and each surface basis curve one more: its images
-    under both embeddings together with its pairing against the gluing
-    class.
-    """
-    M, N = problem.M, problem.N
-    generators: list[tuple[int, Sequence[int]]] = []
-    for side in (M, N):
-        generators += [(0, row) for row in side.embedding_free.to_rows()]
-        generators += side.embedding_torsion
-    generators.append((math.gcd(M.k, N.k), problem.gluing.a))
-    relations = [i for i, (order, _) in enumerate(generators) if order]
+    rows = [(order, lifts.mul_vector(e) + alpha_basis.mul_vector(e)) for order, e in torsion]
+    n = math.gcd(M.k, N.k)
+    if n != 1:
+        rows.append((n, lifts.mul_vector(problem.gluing.a) + a_adapted))
+    if not any(x for _, images in rows for x in images):
+        return abgroups.normal_form(coker.free_rank, coker.torsion + tuple(order for order, _ in rows))
+    tau = coker.torsion
+    width = len(tau) + alpha_basis.rows + len(rows)
     presentation = IntMatrix.from_rows(
-        [
-            [order if j == i else 0 for j in relations] + list(images)
-            for i, (order, images) in enumerate(generators)
+        [[t if j == i else 0 for j in range(width)] for i, t in enumerate(tau)]
+        + [
+            list(images) + [order if j == i else 0 for j in range(len(rows))]
+            for i, (order, images) in enumerate(rows)
         ],
-        cols=len(relations) + 2 * problem.genus,
+        cols=width,
     )
-    return intlat.cokernel_presentation(presentation)
+    return abgroups.direct_sum(AbGroup(coker.free_rank), intlat.cokernel_presentation(presentation))
 
 
 def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[SplitClass, ...]:

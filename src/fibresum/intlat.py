@@ -15,7 +15,8 @@ Each answer has one function, which tracks only the transforms it reads:
 :func:`cokernel_presentation` neither.  :func:`rank`, the rank over Q,
 reduces nothing: it is one fraction-free elimination.  D, every kernel
 basis (canonicalised by HNF) and every cokernel do not depend on the
-pivot rule; only U and V do.
+pivot rule; only U and V do, and with V the lifts of the cokernel's
+torsion that :func:`kernel_and_cokernel` returns beside them.
 
 :func:`kernel_and_cokernel` skips the reduction exactly when a tall A has
 full column rank and every invariant factor 1, that is when d_n, the gcd
@@ -25,9 +26,9 @@ elimination (Bareiss, Math. Comp. 1968): by Sylvester's identity, each
 further row, carried through it at O(n^2), gives a maximal minor with
 every row before it at O(1) each.  A gcd of these minors that stays above
 1 is settled by an elimination modulo it, split into coprime parts at
-each zero divisor.  The kernel is then 0 and the cokernel free, which is
-what the reduction returns, so the result does not depend on which path
-ran.
+each zero divisor.  The kernel is then 0, the cokernel free and there
+are no lifts, which is what the reduction returns, so the result does not
+depend on which path ran.
 """
 
 from __future__ import annotations
@@ -470,23 +471,30 @@ def _full_rank_modulo(
     return False
 
 
-def kernel_and_cokernel(A: IntMatrix) -> tuple[IntMatrix, AbGroup]:
-    """The kernel of A, as the rows of a ``d x cols`` matrix, and the
-    cokernel of :func:`cokernel_presentation`, from at most one reduction.
+def kernel_and_cokernel(A: IntMatrix) -> tuple[IntMatrix, AbGroup, IntMatrix]:
+    """The kernel of A, as the rows of a ``d x cols`` matrix, the cokernel
+    of :func:`cokernel_presentation`, and the lifts of its torsion, from at
+    most one reduction.
 
     The kernel of a map into a free group is a direct summand; its basis
-    is the canonical echelon form of the columns of V past the rank.  No
-    reduction runs exactly when :func:`_unit_invariant_factors` finds that
-    A has full column rank and every invariant factor 1: the kernel is
-    then 0 and the cokernel free of rank rows - cols, what the reduction
-    would give.
+    is the canonical echelon form of the columns of V past the rank.  The
+    lifts are the columns of V at the invariant factors above 1, as rows
+    in the order of ``cokernel.torsion``: A maps the lift of factor t to t
+    times a basis vector of the target, and the lifts with the kernel
+    basis are part of a basis of Z^cols.  No reduction runs exactly when
+    :func:`_unit_invariant_factors` finds that A has full column rank and
+    every invariant factor 1: the kernel is then 0, the cokernel free of
+    rank rows - cols and there are no lifts, what the reduction would give.
     """
     if _unit_invariant_factors(A):
-        return IntMatrix(0, A.cols, ()), AbGroup(A.rows - A.cols, ())
+        return IntMatrix(0, A.cols, ()), AbGroup(A.rows - A.cols, ()), IntMatrix(0, A.cols, ())
     d, _, v = _reduce(A, track_v=True)
     cokernel = _cokernel(A, d)
-    vecs = [[row[j] for row in v] for j in range(A.rows - cokernel.free_rank, A.cols)]
-    return IntMatrix.from_rows(_hnf_rows(vecs, A.cols), cols=A.cols), cokernel
+    r = A.rows - cokernel.free_rank
+    vecs = [[row[j] for row in v] for j in range(r, A.cols)]
+    lifts = [[row[j] for row in v] for j in range(r - len(cokernel.torsion), r)]
+    kernel = IntMatrix.from_rows(_hnf_rows(vecs, A.cols), cols=A.cols)
+    return kernel, cokernel, IntMatrix.from_rows(lifts, cols=A.cols)
 
 
 def cokernel_presentation(A: IntMatrix) -> AbGroup:

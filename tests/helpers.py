@@ -1,7 +1,7 @@
 """Shared builders for the test suite: valid sides, random problems that
 pass the forms scope gate, random unimodular matrices, the matrix helpers
-that only tests need, and the two presentations of the
-cokernel-equivalence lemma."""
+that only tests need, the full presentation of H_1 of a sum as an
+oracle, and the two presentations of the cokernel-equivalence lemma."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import fibresum
 from fibresum import (
@@ -222,11 +223,39 @@ def random_problem_any(rng: random.Random, *, g_max: int = 4) -> FibreSumProblem
             return problem
 
 
+def full_presentation_h1(problem: FibreSumProblem) -> AbGroup:
+    """H_1 of the sum as the cokernel of its full presentation.
+
+    Generators, in order: those of H_1(M) and of H_1(N) (free before
+    torsion on each side), then Z/n with n = gcd(k_M, k_N).  Each has its
+    order (0 if free) and its images of the surface basis curves, the
+    pairings with the gluing class for Z/n.  Each nonzero order gives one
+    relation column, and each surface basis curve one more: its images
+    under both embeddings together with its pairing against the gluing
+    class.
+    """
+    M, N = problem.M, problem.N
+    generators: list[tuple[int, Sequence[int]]] = []
+    for side in (M, N):
+        generators += [(0, row) for row in side.embedding_free.to_rows()]
+        generators += side.embedding_torsion
+    generators.append((math.gcd(M.k, N.k), problem.gluing.a))
+    relations = [i for i, (order, _) in enumerate(generators) if order]
+    presentation = IntMatrix.from_rows(
+        [
+            [order if j == i else 0 for j in relations] + list(images)
+            for i, (order, images) in enumerate(generators)
+        ],
+        cols=len(relations) + 2 * problem.genus,
+    )
+    return cokernel_presentation(presentation)
+
+
 def h1_case(analysis) -> str:
-    """The case by which ``analyse`` found H_1 of the sum: "a" when the
-    meridian dies (no side torsion, gcd(k_M, k_N) = 1), else "c" when
-    coker S has torsion (the rim tori carry the invariant factors of S),
-    else "b0" or "b+" as d = 0 or d > 0."""
+    """The kind of draw, by the data H_1 of the sum is built from: "a"
+    when the meridian dies and neither side has H_1 torsion (gcd(k_M, k_N)
+    = 1), else "c" when coker S has torsion (the rim tori carry the
+    invariant factors of S), else "b0" or "b+" as d = 0 or d > 0."""
     M, N = analysis.problem.M, analysis.problem.N
     if not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1:
         return "a"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import dataclasses
 import io
 import json
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fibresum import cli, forms, intlat, model
+from fibresum import cli, engine, forms, intlat, model
 from fibresum.intlat import IntMatrix
 from fibresum.model import FibreSumProblem, GluingClass
 from helpers import make_side, run_python
@@ -235,10 +236,26 @@ class TestCompute:
         path = write_doc(tmp_path, doc)
         assert run(["compute", path])[0] == 0
         original = intlat.kernel_and_cokernel
-        monkeypatch.setattr(intlat, "kernel_and_cokernel", lambda A: (IntMatrix.from_rows([[1, 0]]), original(A)[1]))
+        monkeypatch.setattr(intlat, "kernel_and_cokernel", lambda A: (IntMatrix.from_rows([[1, 0]]), *original(A)[1:]))
         code, _, err = run(["compute", path])
         assert code == 3
         assert "not in the kernel" in err
+
+    @pytest.mark.parametrize("field", ["b1", "b2_plus"])
+    def test_rank_bookkeeping_fail_path(self, monkeypatch, field):
+        # Each half of the check alone must fail it: b1 off by one, then
+        # b2 off by one through b2_plus.
+        original = engine._betti_numbers
+
+        def off_by_one(problem, d):
+            betti = original(problem, d)
+            return dataclasses.replace(betti, **{field: getattr(betti, field) + 1})
+
+        monkeypatch.setattr(engine, "_betti_numbers", off_by_one)
+        report = cli.build_report(model.parse_problem(K3_SUM), include_forms=False)
+        assert report["checks"]["rank_bookkeeping"]["pass"] is False
+        line = next(x for x in cli.render_text(report).splitlines() if "rank bookkeeping" in x)
+        assert line.endswith("[FAIL]")
 
     def test_internal_check_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(problem, include_forms=True):
@@ -418,8 +435,8 @@ class TestBatch:
         original = intlat.kernel_and_cokernel
 
         def outside_kernel(A):
-            basis, coker = original(A)
-            return (IntMatrix.from_rows([[1, 0]]), coker) if A.rows else (basis, coker)
+            basis, coker, lifts = original(A)
+            return (IntMatrix.from_rows([[1, 0]]) if A.rows else basis, coker, lifts)
 
         monkeypatch.setattr(intlat, "kernel_and_cokernel", outside_kernel)
         path = write_doc(tmp_path, docs)

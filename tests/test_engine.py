@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from fibresum import cli, engine, intlat, model
+from fibresum import cli, intlat, model
 from fibresum import (
     AbGroup,
     FibreSumProblem,
@@ -21,6 +21,7 @@ from fibresum import (
 )
 from helpers import (
     elliptic_problem,
+    full_presentation_h1,
     h1_case,
     identity,
     lemma_cokernels,
@@ -152,14 +153,14 @@ class TestFirstHomology:
         )
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((1, 0)))
         assert analyse(problem).d == 2
-        assert analyse(problem).h1 == engine._first_homology(problem) == AbGroup(1, (2,))
+        assert analyse(problem).h1 == full_presentation_h1(problem) == AbGroup(1, (2,))
 
-    def test_cokernel_shortcut_matches_presentation(self):
-        # analyse reads H_1 off coker S when both sides are torsion-free
-        # and gcd(k_M, k_N) = 1, off coker S and a small presentation when
-        # coker S is free, and reduces the full presentation only when
-        # coker S has torsion; the full presentation must agree on every
-        # draw, so a shortcut taken outside its conditions shows too.
+    def test_presentation_r_matches_full_presentation(self):
+        # analyse reads H_1 off coker S and the presentation R built from
+        # the Smith form of S, or off the orders alone when R is diagonal;
+        # the full presentation must agree on every kind of draw, so a
+        # block of R built wrong, or a diagonal read where it is not,
+        # shows too.
         rng = random.Random(2026)
         draws = [random_scope_problem(rng, with_t=False) for _ in range(300)]
         draws += [random_problem_any(rng) for _ in range(300)]
@@ -168,7 +169,7 @@ class TestFirstHomology:
         for problem in draws:
             M, N = problem.M, problem.N
             qualifying += not M.h1_torsion and not N.h1_torsion and math.gcd(M.k, N.k) == 1
-            assert analyse(problem).h1 == engine._first_homology(problem)
+            assert analyse(problem).h1 == full_presentation_h1(problem)
             cases[h1_case(analyse(problem))] += 1
         assert qualifying >= 300
         assert cases["b0"] >= 100 and cases["b+"] >= 50 and cases["c"] >= 30
@@ -287,16 +288,16 @@ def ladder_problem(m_rows, n_rows):
 
 class TestSmithBudget:
     """Reductions per call, counted in the one pivot loop whichever public
-    wrapper runs it: one of the stacked embedding per report, or none when
-    it is injective with every invariant factor 1 (certified without
+    wrapper runs it: one of the stacked embedding S per report, or none
+    when it is injective with every invariant factor 1 (certified without
     reducing, as on the genus ladder; the E(n) sides have b1 = 0, so their
-    S is wide and always reduced); for H_1, when a side has H_1 torsion or
-    gcd(k_M, k_N) > 1, none when d = 0 and coker S is free, one of the
-    t x (t + d) presentation of the torsion and meridian generators when
-    d > 0 and coker S is free, and one of the full presentation when
-    coker S has torsion; one for the split classes of divisible surfaces;
-    none for a complement, whose rank comes from an elimination; and none
-    in parsing, with or without a t-vector."""
+    S is wide and always reduced); for H_1, none when the presentation R
+    read off the Smith form of S is diagonal (always so when neither side
+    has H_1 torsion and gcd(k_M, k_N) = 1), else one of R, whose shape
+    (|tau| + |T'|) x (|tau| + d + |T'|) is never that of the full
+    presentation; one for the split classes of divisible surfaces; none
+    for a complement, whose rank comes from an elimination; and none in
+    parsing, with or without a t-vector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -319,7 +320,24 @@ class TestSmithBudget:
         side = make_side("T", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0)),))
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
         assert "skipped" in cli.build_report(problem)["forms"]
-        assert len(calls) == 2
+        # S of E(2) is wide and reduced; the Z/2 row maps to 0, so R is
+        # diagonal.
+        assert len(calls) == 1
+
+    def test_gated_report_torsion_in_coker(self, calls):
+        # S = (2 0): d = 1 and coker S = Z/2, lifted by (1, 0), which the
+        # Z/2 generator of M pairs to 1.  So R = [[2, 0, 0], [1, 0, 2]],
+        # and H_1 = Z/4 does not split over coker S.  The full
+        # presentation would be 3 x 4.
+        side = make_side(
+            "T", genus=1, b1=1, embedding=IntMatrix.from_rows([[2, 0]]),
+            h1_torsion=(2,), embedding_torsion=((2, (1, 0)),),
+        )
+        problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
+        report = cli.build_report(problem)
+        assert report["h1"]["torsion"] == [4]
+        assert report["rim_tori"]["torsion"] == [2]
+        assert calls == [(1, 2), (2, 3)]
 
     def test_gated_report_certified(self, calls):
         # S = I_2 is certified, d = 0 and coker S = 0 is free, so H_1 is
@@ -435,7 +453,7 @@ class TestPhiAction:
             assert lhs == IntMatrix(n, n, tuple(-x for x in pairing.entries))
 
     def test_length_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected a vector of length 2g = 4, got 3$"):
             phi_action_h1(2, (1, 2, 3))
 
 

@@ -158,6 +158,35 @@ class TestDifferentialOracles:
             d = intlat._reduce(m)[0]
             assert [d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i]] == expected
 
+    def test_sympy_torsion_lifts(self):
+        # On matrices with a kernel and an invariant factor above 1: the
+        # lifts match sympy's factors above 1 in number and order, A maps
+        # the lift of factor t to a nonzero multiple of t, and the lifts
+        # stacked on the kernel basis span a direct summand (sympy's
+        # invariant factors of the stack are all 1).
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random("torsion-lifts")
+        checked = 0
+        while checked < 80:
+            rows, cols = rng.randint(1, 7), rng.randint(2, 7)
+            inner = rng.randint(1, cols - 1)
+            m = random_matrix(rng, rows, inner, 4) @ random_matrix(rng, inner, cols, 4)
+            factors = [int(x) for x in invariant_factors(Matrix(m.to_rows())) if x]
+            torsion = tuple(x for x in factors if x > 1)
+            if not torsion or len(factors) == cols:
+                continue
+            basis, cokernel, lifts = kernel_and_cokernel(m)
+            assert cokernel.torsion == torsion
+            assert (lifts.rows, lifts.cols) == (len(torsion), cols)
+            for w, t in zip(lifts.to_rows(), torsion):
+                image = m.mul_vector(w)
+                assert any(image) and all(x % t == 0 for x in image)
+            stacked = IntMatrix.vstack([lifts, basis])
+            assert [int(x) for x in invariant_factors(Matrix(stacked.to_rows()))] == [1] * stacked.rows
+            checked += 1
+
     def test_sympy_kernel(self):
         # Independent of the pivot loop: every vector is in the kernel,
         # there are cols - rank of them by sympy's rank, which the cokernel
@@ -241,7 +270,7 @@ class TestUnitInvariantFactorCertificate:
             reference = smith_normal_form(m)
             tail = [list(column(reference.V, j)) for j in range(reference.rank(), n)]
             before = len(reduced)
-            basis, cokernel = intlat.kernel_and_cokernel(m)
+            basis, cokernel, _ = intlat.kernel_and_cokernel(m)
             assert cokernel == AbGroup(m.rows - len(factors), tuple(x for x in factors if x > 1))
             assert basis == IntMatrix.from_rows(intlat._hnf_rows(tail, n), cols=n)
             ran = len(reduced) > before
@@ -258,7 +287,7 @@ class TestUnitInvariantFactorCertificate:
             [[-2, -5, 4], [4, -5, -4], [-1, -1, -1], [1, -3, 1], [-4, -2, 5], [-3, 3, 3]]
         )
         assert intlat._unit_invariant_factors(m)
-        assert intlat.kernel_and_cokernel(m) == (IntMatrix(0, 3, ()), AbGroup(3, ()))
+        assert intlat.kernel_and_cokernel(m) == (IntMatrix(0, 3, ()), AbGroup(3, ()), IntMatrix(0, 3, ()))
 
     def test_decision_against_sympy(self, monkeypatch):
         """True exactly when sympy finds n invariant factors, all 1, on
@@ -329,7 +358,7 @@ class TestUnitInvariantFactorCertificate:
     def test_square_unimodular(self):
         m = IntMatrix.from_rows([[2, 3], [1, 2]])
         assert intlat._unit_invariant_factors(m)
-        assert intlat.kernel_and_cokernel(m) == (IntMatrix(0, 2, ()), AbGroup(0, ()))
+        assert intlat.kernel_and_cokernel(m) == (IntMatrix(0, 2, ()), AbGroup(0, ()), IntMatrix(0, 2, ()))
 
 
 class TestRank:

@@ -1,8 +1,8 @@
 """Oracles for how ``analyse`` assembles the sum from its sides.
 
 The Mayer-Vietoris oracle computes H_1 of the sum from the two
-complements and the gluing map on the boundary, without the shortcut of
-``engine._first_homology``.  The metamorphic suite changes the bases of
+complements and the gluing map on the boundary, without the presentation
+of H_1 that ``analyse`` reads off the Smith form of S.  The metamorphic suite changes the bases of
 H_1(M), H_1(N) and H_1(Sigma) and checks that no invariant of the report
 moves.
 """
@@ -78,7 +78,7 @@ class TestMayerVietoris:
             analysis = analyse(problem)
             assert mayer_vietoris_h1(problem) == analysis.h1
             cases[h1_case(analysis)] += 1
-        # Every way analyse finds H_1 is checked.
+        # Every kind of draw is checked.
         assert cases["a"] >= 100 and cases["b0"] >= 100 and cases["b+"] >= 50 and cases["c"] >= 30
 
     def test_meridian_order_is_the_gcd(self):
