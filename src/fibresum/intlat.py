@@ -12,19 +12,21 @@ Majewski, "Integer matrix diagonalization", J. Symb. Comput. 1997), which
 keeps the number of Euclid rounds and the growth of the transforms down.
 Each answer has one function, which tracks only the transforms it reads:
 :func:`smith_normal_form` U and V, :func:`kernel_and_cokernel` V alone,
-:func:`cokernel_presentation` neither.  :func:`rank`, the rank over Q,
-reduces nothing: it is one fraction-free elimination.  D, every kernel
-basis (canonicalised by HNF) and every cokernel do not depend on the
-pivot rule; only U and V do, and with V the lifts of the cokernel's
-torsion that :func:`kernel_and_cokernel` returns beside them.
+:func:`cokernel_presentation` neither.  D, every kernel basis
+(canonicalised by HNF) and every cokernel do not depend on the pivot
+rule; only U and V do, and with V the lifts of the cokernel's torsion
+that :func:`kernel_and_cokernel` returns beside them.
 
-:func:`kernel_and_cokernel` skips the reduction exactly when a tall A has
-full column rank and every invariant factor 1, that is when d_n, the gcd
-of its maximal minors, is 1 (Kannan and Bachem, SIAM J. Comput. 1979).
-:func:`_unit_invariant_factors` decides this from one fraction-free
-elimination (Bareiss, Math. Comp. 1968): by Sylvester's identity, each
-further row, carried through it at O(n^2), gives a maximal minor with
-every row before it at O(1) each.  A gcd of these minors that stays above
+One fraction-free elimination (Bareiss, Math. Comp. 1968),
+:class:`_FractionFree`, reduces nothing and serves three answers:
+:meth:`IntMatrix.det`, :func:`rank`, the rank over Q, and the
+certificate below.  :func:`kernel_and_cokernel` skips the reduction
+exactly when a tall A has full column rank and every invariant factor 1,
+that is when d_n, the gcd of its maximal minors, is 1 (Kannan and
+Bachem, SIAM J. Comput. 1979).  :func:`_unit_invariant_factors` decides
+this from that elimination: by Sylvester's identity, each further row,
+carried through it at O(n^2), gives a maximal minor with every row
+before it at O(1) each.  A gcd of these minors that stays above
 1 is settled by an elimination modulo it, split into coprime parts at
 each zero divisor.  The kernel is then 0, the cokernel free and there
 are no lifts, which is what the reduction returns, so the result does not
@@ -142,26 +144,23 @@ class IntMatrix:
         return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
 
     def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
+        """Exact determinant from the fraction-free elimination
+        :class:`_FractionFree`, one stage per column.
+
+        A column with no pivot makes it 0.  Otherwise the last pivot is the
+        determinant with the rows in pivot order, and taking a pivot that
+        sits s places into the unused rows is s transpositions."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
+        elimination = _FractionFree(self)
         sign = 1
-        divisors = [1]
-        for k in range(n - 1):
-            i = next((i for i in range(k, n) if m[i][k]), None)
-            if i is None:
+        for j in range(self.cols):
+            skipped = elimination.pivot(j)
+            if skipped is None:
                 return 0
-            if i != k:
-                m[k], m[i] = m[i], m[k]
+            if skipped % 2:
                 sign = -sign
-            for row in m[k + 1 :]:
-                _fraction_free_carry(row, m, divisors, k, k + 1)
-            divisors.append(m[k][k])
-        return sign * m[n - 1][n - 1]
+        return sign * elimination.last
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -354,68 +353,83 @@ def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
     return rows[:r]
 
 
-def _fraction_free_carry(
-    row: list[int], pivots: Sequence[list[int]], divisors: Sequence[int], start: int, stop: int
-) -> None:
-    """Carry ``row`` in place through stages start..stop-1 of a
-    fraction-free (Bareiss) elimination.  Stage k has the pivot row
-    ``pivots[k]``, itself carried through stages 0..k-1, and the divisor
-    ``divisors[k]``, the pivot of stage k - 1 (1 at stage 0); it makes
-    entry j > k ``(pivots[k][k]*row[j] - row[k]*pivots[k][j]) /
-    divisors[k]``, an exact division.  After stage k, entry j is the minor
-    on the pivot rows of stages 0..k and ``row``, in columns 0..k and j.
-    Entries up to column k are left stale."""
-    for k in range(start, stop):
-        pivot, divisor = pivots[k], divisors[k]
-        p, x = pivot[k], row[k]
-        row[k + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[k + 1 :], pivot[k + 1 :])]
+class _FractionFree:
+    """One fraction-free (Bareiss) elimination of the rows of A, run one
+    column at a time by :meth:`pivot`, with each row carried through the
+    stages only when it is read.
+
+    Stage k has a pivot row, itself carried through stages 0..k-1, its
+    column c_k and the divisor p_{k-1}, the pivot of stage k - 1 (1 at
+    stage 0).  It makes entry j > c_k of a row ``(p_k*row[j] -
+    row[c_k]*pivot[j]) / p_{k-1}``.  By Sylvester's identity, after stage
+    k entry j > c_k is the minor on the pivot rows of stages 0..k and the
+    row, in columns c_0..c_k and j: the numerator is the 2 x 2 determinant
+    of four such minors after stage k - 1, and p_{k-1} is the minor they
+    share, so the division is exact.  Entries up to c_k are left stale.
+    """
+
+    def __init__(self, A: IntMatrix) -> None:
+        self.rows = A.to_rows()
+        self.unused = list(range(A.rows))  # rows not yet a pivot, in row order
+        self.level = [0] * A.rows  # the stages each row has been carried through
+        self.stages: list[tuple[list[int], int, int]] = []  # (pivot row, column, divisor)
+        self.last = 1  # the pivot of the last stage
+
+    def carry(self, i: int) -> list[int]:
+        """Row i, carried through every stage so far."""
+        row = self.rows[i]
+        for pivot, c, divisor in self.stages[self.level[i] :]:
+            p, x = pivot[c], row[c]
+            row[c + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[c + 1 :], pivot[c + 1 :])]
+        self.level[i] = len(self.stages)
+        return row
+
+    def pivot(self, j: int) -> int | None:
+        """Make the first unused row whose carried entry j is nonzero the
+        pivot of a stage at column j.  Returns how many unused rows came
+        before it, or None, with no stage, when there is no such row."""
+        for skipped, i in enumerate(self.unused):
+            row = self.carry(i)
+            if row[j]:
+                del self.unused[skipped]
+                self.stages.append((row, j, self.last))
+                self.last = row[j]
+                return skipped
+        return None
 
 
 def _unit_invariant_factors(A: IntMatrix) -> bool:
     """True iff A (m x n) has m >= n >= 1, rank n and every invariant
     factor 1, that is iff d_n, the gcd of its n x n minors, is 1.
 
-    For n = 1, d_n is the gcd of the column.  Otherwise one fraction-free
-    elimination runs over columns 0..n-3, taking each pivot row from A in
-    row order; a column with no nonzero entry at its stage in any row means
-    rank below n.  Each other row, carried through those stages, keeps two
-    live entries (x0, x1) = (x[n-2], x[n-1]).  By Sylvester's identity,
-    for two such rows x and y, ``(x0*y1 - x1*y0) / p``, with p the last
-    pivot (1 when n = 2), is plus or minus the n x n minor on the pivot
-    rows, x and y.  The minors of each further row are folded into their
-    gcd delta, a multiple of d_n, until delta = 1 or a row leaves a
-    nonzero delta unchanged.  delta = 0 after every row means rank below
-    n.  When m = n, delta is |det A| = d_n.  Otherwise a delta above 1 is
-    settled by :func:`_full_rank_modulo`: d_n = 1 iff A has rank n
-    modulo every prime dividing delta.
+    For n = 1, d_n is the gcd of the column.  Otherwise the elimination
+    :class:`_FractionFree` takes a pivot in each of columns 0..n-3; a
+    column with no pivot means rank below n.  Each unused row, carried
+    through those stages, keeps two live entries (x0, x1) = (x[n-2],
+    x[n-1]).  By Sylvester's identity, for two such rows x and y,
+    ``(x0*y1 - x1*y0) / p``, with p the last pivot (1 when n = 2), is plus
+    or minus the n x n minor on the pivot rows, x and y.  The minors of
+    each further row are folded into their gcd delta, a multiple of d_n,
+    until delta = 1 or a row leaves a nonzero delta unchanged.  delta = 0
+    after every row means rank below n.  When m = n, delta is |det A| =
+    d_n.  Otherwise a delta above 1 is settled by
+    :func:`_full_rank_modulo`: d_n = 1 iff A has rank n modulo every prime
+    dividing delta.
     """
     m, n = A.rows, A.cols
     if not 1 <= n <= m:
         return False
     if n == 1:
         return math.gcd(*A.entries) == 1
-    rows = A.to_rows()
-    level = [0] * m  # the stages each row has been carried through
-    pivots: list[list[int]] = []  # the pivot row of each stage
-    divisors = [1]  # divisors[s] is the pivot of stage s - 1
-    others = list(range(m))
-    for s in range(n - 2):
-        for i in others:
-            _fraction_free_carry(rows[i], pivots, divisors, level[i], s)
-            level[i] = s
-            if rows[i][s]:
-                break
-        else:
+    elimination = _FractionFree(A)
+    for j in range(n - 2):
+        if elimination.pivot(j) is None:
             return False
-        others.remove(i)
-        pivots.append(rows[i])
-        divisors.append(rows[i][s])
-    k, p = n - 2, divisors[-1]
+    p = elimination.last
     delta = 0
     tails: list[tuple[int, int]] = []
-    for i in others:
-        _fraction_free_carry(rows[i], pivots, divisors, level[i], k)
-        y0, y1 = rows[i][k:]
+    for i in elimination.unused:
+        y0, y1 = elimination.carry(i)[n - 2 :]
         before = delta
         for x0, x1 in tails:
             delta = math.gcd(delta, (x0 * y1 - x1 * y0) // p)
@@ -507,27 +521,8 @@ def cokernel_presentation(A: IntMatrix) -> AbGroup:
 
 
 def rank(A: IntMatrix) -> int:
-    """The rank of A over Q, from one fraction-free (Bareiss) elimination.
-
-    Columns are taken in order; one with no nonzero entry in the rows not
-    yet used as pivots is skipped.  Each pivot row clears its column from
-    the rows below it, and every new entry is divided exactly by the
-    previous pivot: by Sylvester's identity it is the minor on the pivot
-    rows so far, its own row, the pivot columns so far and its own
-    column.  The rank is the number of pivots.
-    """
-    rows = A.to_rows()
-    r, divisor = 0, 1
-    for j in range(A.cols):
-        i = next((i for i in range(r, A.rows) if rows[i][j]), None)
-        if i is None:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivot = rows[r]
-        p = pivot[j]
-        for row in rows[r + 1 :]:
-            x = row[j]
-            row[j + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[j + 1 :], pivot[j + 1 :])]
-        divisor = p
-        r += 1
-    return r
+    """The rank of A over Q: the number of columns in which the
+    fraction-free elimination :class:`_FractionFree` finds a pivot.  A
+    column without one is skipped."""
+    elimination = _FractionFree(A)
+    return sum(1 for j in range(A.cols) if elimination.pivot(j) is not None)

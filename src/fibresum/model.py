@@ -331,7 +331,8 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     free_rows = doc.get("embedding_free")
     torsion_doc = doc.get("embedding_torsion")
     implied_rows = (b1 if free_rows is None else 0) + (len(h1_torsion) if torsion_doc is None else 0)
-    if implied_rows * two_g > MAX_IMPLIED_CELLS:
+    # An omitted row costs at least one cell, even at genus 0.
+    if implied_rows * max(two_g, 1) > MAX_IMPLIED_CELLS:
         raise DocumentError(
             [
                 f"{where}: omitted embedding rows would hold {implied_rows} x {two_g} cells, "

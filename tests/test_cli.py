@@ -295,8 +295,13 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"b1": 2**62}, {"genus": 2**62, "h1_torsion": [2]}, {"b1": model.MAX_IMPLIED_CELLS // 2 + 1}],
-        ids=["b1_2**62", "torsion_rows_2**62", "b1_over_cap"],
+        [
+            {"b1": 2**62},
+            {"genus": 2**62, "h1_torsion": [2]},
+            {"b1": model.MAX_IMPLIED_CELLS // 2 + 1},
+            {"genus": 0, "b1": 2**62},
+        ],
+        ids=["b1_2**62", "torsion_rows_2**62", "b1_over_cap", "genus_0_b1_2**62"],
     )
     def test_implied_size_over_cap_exits_2(self, tmp_path, fields):
         # The omitted embedding rows imply more zero cells than the cap; the

@@ -342,10 +342,14 @@ class TestUnitInvariantFactorCertificate:
             assert want in (None, expected)
             moduli.clear()
             assert intlat._unit_invariant_factors(m) == expected
+            # rank and det share the certificate's elimination.
+            assert intlat.rank(m) == Matrix(m.to_rows()).rank()
             first_moduli.update(moduli[:1])
             widths.add(m.cols)
             if m.rows == m.cols:
-                square_non_unit += abs(int(Matrix(m.to_rows()).det())) > 1
+                det = int(Matrix(m.to_rows()).det())
+                assert m.det() == det
+                square_non_unit += abs(det) > 1
             zero_top += not any(m.row(0))
         assert {6, 12, 30} <= first_moduli
         assert {1, 2} <= widths
@@ -458,8 +462,27 @@ class TestCokernelPresentation:
 
 class TestIntMatrix:
     def test_entry_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 4 entries, got 3"):
             IntMatrix(2, 2, (1, 2, 3))
+
+    def test_negative_dimensions_rejected(self):
+        for rows, cols in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+                IntMatrix(rows, cols, ())
+
+    def test_entry_out_of_range(self):
+        # The index is checked before it reaches the flat tuple, where
+        # (0, 3) would read row 1 and (-1, 0) would wrap round.
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.entry(1, 2) == 6
+        for index in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError, match=re.escape(str(index))):
+                m.entry(*index)
+
+    def test_vstack_and_str_of_empty(self):
+        m = IntMatrix.from_rows([[1, 2]])
+        assert IntMatrix.vstack([m]) == m
+        assert str(IntMatrix(0, 3, ())) == "<empty 0x3>"
 
     def test_non_int_rejected(self):
         with pytest.raises(ValueError):
@@ -474,8 +497,11 @@ class TestIntMatrix:
         assert IntMatrix(1, 3, (1, plus, 4)).entries == (1, plus, 4)
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            IntMatrix.from_rows([[1, 2], [3]])
+        # The first row sets the width, so a short last row is reported as
+        # ragged even when cols names the right width.
+        for cols in (None, 2):
+            with pytest.raises(ValueError, match="ragged rows"):
+                IntMatrix.from_rows([[1, 2], [3]], cols=cols)
 
     def test_matmul_shape_checked(self):
         with pytest.raises(ValueError):

@@ -215,15 +215,35 @@ class TestParseProblem:
         )
         assert (parsed.embedding_free.rows, len(parsed.embedding_torsion)) == (1, rows)
         # One omitted row more, of either kind, is refused before anything
-        # is allocated.
-        for extra, count in (({"b1": rows + 1}, "0"), ({"h1_torsion": [2]}, "1")):
+        # is allocated, also when the other kind is given.
+        over = [
+            {"b1": rows + 1},
+            {"h1_torsion": [2]},
+            {"b1": rows + 1, "h1_torsion": [2], "embedding_torsion": [torsion_row]},
+            {"b1": 1, "embedding_free": [[0] * two_g], "h1_torsion": [2] * (rows + 1)},
+        ]
+        for extra in over:
             with pytest.raises(DocumentError) as caught:
                 model.parse_side(dict(side, **extra), "M")
-            b1 = extra.get("b1", rows)
+            b1, count = extra.get("b1", rows), len(extra.get("h1_torsion", []))
             assert caught.value.messages == [
                 f"M: omitted embedding rows would hold {rows + 1} x {two_g} cells, more than "
                 f"{model.MAX_IMPLIED_CELLS} (b1 = {b1}, genus = 512, {count} torsion factor(s))"
             ]
+
+    def test_implied_cells_cap_at_genus_0(self):
+        # A genus-0 row holds no cells, yet each omitted row still counts
+        # as one, so b1 cannot grow without bound.
+        cap = model.MAX_IMPLIED_CELLS
+        side = {"name": "S", "b1": cap, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
+                "K_dot_B": 0, "B_squared": 0, "genus": 0, "k": 1}
+        assert model.parse_side(side, "M").embedding_free == IntMatrix(cap, 0, ())
+        with pytest.raises(DocumentError) as caught:
+            model.parse_side(dict(side, b1=cap + 1), "M")
+        assert caught.value.messages == [
+            f"M: omitted embedding rows would hold {cap + 1} x 0 cells, more than "
+            f"{cap} (b1 = {cap + 1}, genus = 0, 0 torsion factor(s))"
+        ]
 
     def test_omitted_torsion_rows_are_zero(self):
         # With rows of zeros the Z/2 of M survives in the sum; the gluing
