@@ -2,9 +2,9 @@
 
 Everything the library reports is a rank, kernel, or cokernel over Z,
 computed through a deterministic Smith reduction on arbitrary-precision
-integers.  This script shows the raw layer: the decomposition itself,
-saturated kernel bases, cokernel presentations, and that coefficient
-growth is harmless.
+integers.  This script shows the raw layer: a kernel, cokernel and torsion
+lifts from one reduction, saturated kernel bases, cokernel presentations,
+and that coefficient growth is harmless.
 """
 
 from fibresum import (
@@ -13,23 +13,23 @@ from fibresum import (
     cokernel_presentation,
     direct_sum,
     kernel_and_cokernel,
-    smith_normal_form,
 )
 
-print("Smith normal form of [[2, 4], [6, 8]]:")
+print("Kernel and cokernel of [[2, 4], [6, 8]]:")
 matrix = IntMatrix.from_rows([[2, 4], [6, 8]])
-snf = smith_normal_form(matrix)
-print(f"  D = diag{snf.diagonal()}")
-print(f"  U = {snf.U.to_rows()}, V = {snf.V.to_rows()}")
-assert (snf.U @ matrix @ snf.V) == snf.D
-print(f"  check: U A V = D holds, det U = {snf.U.det()}, det V = {snf.V.det()}")
+basis, cokernel, lifts = kernel_and_cokernel(matrix)
+print(f"  kernel basis {basis.to_rows()}, cokernel {cokernel}")
+images = [list(matrix.mul_vector(w)) for w in lifts.to_rows()]
+print(f"  torsion lifts {lifts.to_rows()} map to {images}")
+assert all(x % t == 0 for image, t in zip(images, cokernel.torsion) for x in image)
+print(f"  check: each image is a multiple of its factor in {list(cokernel.torsion)}")
 
 print()
 print("Kernels come back as saturated bases (direct summands):")
 basis, _, _ = kernel_and_cokernel(IntMatrix.from_rows([[2, 4, -2], [1, 2, -1]]))
 print(f"  kernel of [[2,4,-2],[1,2,-1]] has basis {basis.to_rows()}")
-stacked = smith_normal_form(basis)
-print(f"  saturation certificate: Smith diagonal of the basis is {stacked.diagonal()}")
+transposed = IntMatrix.from_rows([list(col) for col in zip(*basis.to_rows())])
+print(f"  saturation certificate: Z^3 modulo the basis is {cokernel_presentation(transposed)}, free")
 
 print()
 print("Cokernel presentations in invariant-factor normal form:")
@@ -40,8 +40,8 @@ print(f"  Z/2 + Z/4 + Z/3          = {direct_sum(AbGroup(0, (2, 4)), AbGroup(0, 
 print()
 print("Arbitrary precision is the point, not an accident:")
 big = 10**40
-matrix = IntMatrix.from_rows([[big, big + 1], [big - 1, big]])
-snf = smith_normal_form(matrix)
-print(f"  a 2x2 matrix with 40-digit entries has Smith diagonal {snf.diagonal()}")
-assert (snf.U @ matrix @ snf.V) == snf.D
-print("  and the transforms still verify exactly.")
+matrix = IntMatrix.from_rows([[big, 1], [1, big]])
+group = cokernel_presentation(matrix)
+print(f"  [[10^40, 1], [1, 10^40]] has cokernel {group}")
+assert group.torsion == (matrix.det(),) == (big * big - 1,)
+print("  of order det A = 10^80 - 1, exactly.")

@@ -10,7 +10,7 @@ and the canonical class of the symplectic sum, all in exact integer
 arithmetic with full internal cross-validation.
 """
 
-from .abgroups import AbGroup, direct_sum, is_isomorphic, is_torsion_free, normal_form
+from .abgroups import AbGroup, direct_sum, normal_form
 from .engine import (
     ComplementInvariants,
     SplitClass,
@@ -30,13 +30,7 @@ from .forms import (
     embed_h2,
     sum_forms,
 )
-from .intlat import (
-    IntMatrix,
-    SNFDecomposition,
-    cokernel_presentation,
-    kernel_and_cokernel,
-    smith_normal_form,
-)
+from .intlat import IntMatrix, cokernel_presentation, kernel_and_cokernel
 from .model import (
     BettiNumbers,
     DocumentError,
@@ -66,7 +60,6 @@ __all__ = [
     "GluingClass",
     "IntMatrix",
     "ManifoldSide",
-    "SNFDecomposition",
     "ScopeError",
     "SplitClass",
     "SumAnalysis",
@@ -78,15 +71,12 @@ __all__ = [
     "direct_sum",
     "elliptic_surface",
     "embed_h2",
-    "is_isomorphic",
-    "is_torsion_free",
     "kernel_and_cokernel",
     "normal_form",
     "parse_problem",
     "phi_action_h1",
     "problem_to_dict",
     "side_to_dict",
-    "smith_normal_form",
     "sum_forms",
     "validate_problem",
     "validate_side",

@@ -1,8 +1,8 @@
 """Finitely generated abelian groups in invariant-factor normal form.
 
-The normal form is the divisibility chain coming straight out of Smith
-reduction, so isomorphism testing is component-wise equality.  Values are
-immutable and operations pure; :func:`as_ints` is the one integer rule.
+The normal form is the divisibility chain out of Smith reduction, so two
+normal forms are isomorphic iff they are ``==``.  Values are immutable
+and operations pure; :func:`as_ints` is the one integer rule.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-__all__ = ["AbGroup", "normal_form", "direct_sum", "is_isomorphic", "is_torsion_free"]
+__all__ = ["AbGroup", "normal_form", "direct_sum"]
 
 
 def as_ints(values: Iterable[Any], what: str) -> tuple[int, ...]:
@@ -31,8 +31,8 @@ class AbGroup:
     """``Z^free_rank + Z/t1 + ... + Z/tk`` with ``t1 | t2 | ... | tk``.
 
     The constructor does not normalize; use :func:`normal_form` to build a
-    group from an arbitrary factor list.  Operations that rely on the
-    normal form reject values that violate it.
+    group from an arbitrary factor list.  Every group the library returns
+    is a normal form, on which ``==`` is isomorphism.
     """
 
     free_rank: int
@@ -85,14 +85,3 @@ def direct_sum(G: AbGroup, H: AbGroup) -> AbGroup:
     """Normal form of ``G + H``: ranks add, torsion chains are re-merged."""
     return normal_form(G.free_rank + H.free_rank, G.torsion + H.torsion)
 
-
-def is_isomorphic(G: AbGroup, H: AbGroup) -> bool:
-    """Component-wise equality; both operands must be in normal form."""
-    for name, grp in (("first", G), ("second", H)):
-        if not grp.is_normal_form():
-            raise ValueError(f"{name} operand not in normal form: {grp}")
-    return G.free_rank == H.free_rank and G.torsion == H.torsion
-
-
-def is_torsion_free(G: AbGroup) -> bool:
-    return not G.torsion

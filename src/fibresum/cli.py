@@ -2,9 +2,9 @@
 
 Subcommands: ``compute`` runs the full pipeline on a problem document,
 ``validate`` just checks one, ``catalog`` prints a catalog side document,
-``batch`` processes a list of problems, and ``snf`` exposes the Smith
-reduction for debugging.  Documents are JSON following the schema of the
-model module.
+``batch`` processes a list of problems, and ``snf`` prints the Smith
+invariants, kernel and cokernel of a matrix.  Documents are JSON
+following the schema of the model module.
 
 Exit codes: 0 success, 1 I/O failure, 2 parse/validation failure,
 3 engine assertion failure.
@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import engine, forms, model
-from .intlat import IntMatrix, smith_normal_form
+from .intlat import IntMatrix, kernel_and_cokernel
 from .model import DocumentError, FibreSumProblem
 
 EXIT_OK = 0
@@ -417,8 +417,6 @@ def cmd_batch(args, stdout, stderr) -> int:
 
 def cmd_snf(args, stdout, stderr) -> int:
     document = _read_json_file(args.path)
-    if isinstance(document, dict) and set(document) == {"matrix"}:
-        document = document["matrix"]
     if not isinstance(document, list) or any(not isinstance(r, list) for r in document):
         raise DocumentError(["matrix document: expected an array of integer rows"])
     try:
@@ -426,18 +424,20 @@ def cmd_snf(args, stdout, stderr) -> int:
     except ValueError as exc:
         raise DocumentError([f"matrix document: {exc}"]) from exc
     _lift_digit_limit()
-    snf = smith_normal_form(matrix)
+    kernel, cokernel, _ = kernel_and_cokernel(matrix)
+    rank = matrix.rows - cokernel.free_rank
+    zeros = min(matrix.rows, matrix.cols) - rank
     payload = {
-        "U": snf.U.to_rows(),
-        "D": snf.D.to_rows(),
-        "V": snf.V.to_rows(),
-        "diagonal": list(snf.diagonal()),
-        "rank": snf.rank(),
+        "diagonal": [1] * (rank - len(cokernel.torsion)) + list(cokernel.torsion) + [0] * zeros,
+        "rank": rank,
+        "kernel": kernel.to_rows(),
+        "cokernel": _group_dict(cokernel),
     }
     if args.format == "text":
-        for name in ("U", "D", "V"):
-            stdout.write(f"{name} =\n  " + str(getattr(snf, name)).replace("\n", "\n  ") + "\n")
-        stdout.write(f"diagonal = {payload['diagonal']}\nrank = {payload['rank']}\n")
+        stdout.write(
+            f"diagonal = {payload['diagonal']}\nrank = {rank}\n"
+            f"kernel = {payload['kernel']}\ncokernel = {cokernel}\n"
+        )
     else:
         stdout.write(dump_structured(payload))
     return EXIT_OK
@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--no-forms", action="store_true", help="skip the forms module")
     p_batch.set_defaults(func=cmd_batch)
 
-    p_snf = sub.add_parser("snf", help="Smith normal form of a matrix document")
+    p_snf = sub.add_parser("snf", help="Smith invariants, kernel and cokernel of a matrix document")
     p_snf.add_argument("path")
     add_format(p_snf)
     p_snf.set_defaults(func=cmd_snf)

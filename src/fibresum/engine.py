@@ -156,7 +156,7 @@ def _scope_violations(problem: FibreSumProblem, h1: AbGroup) -> tuple[str, ...]:
             violations.append(f"surface class of {label} is divisible (k = {side.k})")
         if side.h1_torsion:
             violations.append(f"H_1({label}) has torsion {list(side.h1_torsion)}")
-    if not abgroups.is_torsion_free(h1):
+    if h1.torsion:
         violations.append(f"H_1 of the sum has torsion: {h1}")
     return tuple(violations)
 

@@ -5,17 +5,13 @@ that occurs during Smith reduction can never overflow.  All values are
 immutable and all operations are pure functions; concurrent use needs no
 coordination.  Entries obey :func:`abgroups.as_ints`, the integer rule.
 
-Every Smith reduction here runs one deterministic pivot loop, so every
-result can be tested byte for byte.  The loop clears with least absolute
-remainders and promotes the smallest surviving remainder (Havas and
-Majewski, "Integer matrix diagonalization", J. Symb. Comput. 1997), which
-keeps the number of Euclid rounds and the growth of the transforms down.
-Each answer has one function, which tracks only the transforms it reads:
-:func:`smith_normal_form` U and V, :func:`kernel_and_cokernel` V alone,
-:func:`cokernel_presentation` neither.  D, every kernel basis
-(canonicalised by HNF) and every cokernel do not depend on the pivot
-rule; only U and V do, and with V the lifts of the cokernel's torsion
-that :func:`kernel_and_cokernel` returns beside them.
+Every Smith reduction here runs one deterministic pivot loop,
+:func:`_reduce` (Havas and Majewski, "Integer matrix diagonalization",
+J. Symb. Comput. 1997), so every result can be tested byte for byte.  Its
+diagonal, every kernel basis (canonicalised by HNF) and every cokernel do
+not depend on the pivot rule.  Only V, the one transform it tracks, does,
+and with V the lifts of the cokernel's torsion that
+:func:`kernel_and_cokernel` returns beside them.
 
 One fraction-free elimination (Bareiss, Math. Comp. 1968),
 :class:`_FractionFree`, reduces nothing and serves three answers:
@@ -43,8 +39,6 @@ from .abgroups import AbGroup, as_ints
 
 __all__ = [
     "IntMatrix",
-    "SNFDecomposition",
-    "smith_normal_form",
     "kernel_and_cokernel",
     "cokernel_presentation",
     "rank",
@@ -123,9 +117,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
-
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -168,60 +159,21 @@ class IntMatrix:
         return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """Unimodular ``U``, ``V`` and diagonal ``D`` with ``U @ A @ V == D``.
+def _reduce(A: IntMatrix, track_v: bool = False) -> tuple[list[list[int]], list[list[int]] | None]:
+    """The pivot loop behind every Smith reduction.  Returns the rows of D,
+    whose diagonal is a nonnegative divisibility chain with zeros last,
+    and, when tracked, of V (else None), with D = U A V for a unimodular U.
 
-    The diagonal entries are nonnegative and form a divisibility chain
-    ``d1 | d2 | ...`` with zeros last.
+    Each pivot is the entry of least nonzero absolute value, the first in
+    row-major order.  Its column, then its row, is cleared with
+    nearest-integer quotients, so each remainder is at most half the pivot;
+    the row (then column) holding the smallest nonzero remainder, the lowest
+    index on ties, is swapped into the pivot position and the clearing
+    repeats.  This keeps the Euclid rounds and the growth of V down.
     """
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return self.D.diagonal()
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
-
-def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
-    """Smith normal form with unimodular transforms, ``U @ A @ V == D``.
-
-    Deterministic: each pivot is the entry of smallest nonzero absolute
-    value, ties broken by lowest row index, then lowest column index.  Its
-    column, then its row, is cleared with nearest-integer quotients, so
-    each remainder is at most half the pivot; the row (then column) holding
-    the smallest nonzero remainder, the lowest index on ties, is swapped
-    into the pivot position and the clearing repeats.  This is the only
-    caller that tracks U; U, D and V are what the ``snf`` command prints.
-    """
-    m, n = A.rows, A.cols
-    d, u, v = _reduce(A, track_u=True, track_v=True)
-    return SNFDecomposition(
-        U=IntMatrix.from_rows(u, cols=m),
-        D=IntMatrix.from_rows(d, cols=n),
-        V=IntMatrix.from_rows(v, cols=n),
-    )
-
-
-def _reduce(
-    A: IntMatrix, track_u: bool = False, track_v: bool = False
-) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
-    """The pivot loop behind every Smith reduction (see
-    :func:`smith_normal_form`).  Returns the rows of D and, when tracked,
-    of U and V (None otherwise), with ``U @ A @ V == D``."""
     m, n = A.rows, A.cols
     d = A.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_v else None
-
-    def swap_rows(a: int, b: int) -> None:
-        d[a], d[b] = d[b], d[a]
-        if u is not None:
-            u[a], u[b] = u[b], u[a]
 
     def swap_cols(a: int, b: int) -> None:
         for row in d if v is None else d + v:
@@ -231,8 +183,6 @@ def _reduce(
         # row[dst] += q * row[src]; columns left of t are zero in both rows
         # of D, so only the live columns t.. change.
         d[dst][t:] = [x + q * y for x, y in zip(d[dst][t:], d[src][t:])]
-        if u is not None:
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     t = 0
     while True:
@@ -243,7 +193,7 @@ def _reduce(
             break
         pi, pj = t + k // (n - t), t + k % (n - t)
         if pi != t:
-            swap_rows(t, pi)
+            d[t], d[pi] = d[pi], d[t]
         if pj != t:
             swap_cols(t, pj)
         while True:
@@ -260,7 +210,7 @@ def _reduce(
                 # survivor at least halves the pivot.
                 left = _least_nonzero(d[i][t] for i in range(t + 1, m))
                 if left is not None:
-                    swap_rows(t, t + 1 + left)
+                    d[t], d[t + 1 + left] = d[t + 1 + left], d[t]
                     continue
             # Column t is now zero off the pivot, so a column operation
             # changes only row t of D.
@@ -290,12 +240,9 @@ def _reduce(
                     break
             else:
                 break
-        if d[t][t] < 0:
-            d[t][t] = -d[t][t]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+        d[t][t] = abs(d[t][t])
         t += 1
-    return d, u, v
+    return d, v
 
 
 def _least_nonzero(values: Iterable[int]) -> int | None:
@@ -502,7 +449,7 @@ def kernel_and_cokernel(A: IntMatrix) -> tuple[IntMatrix, AbGroup, IntMatrix]:
     """
     if _unit_invariant_factors(A):
         return IntMatrix(0, A.cols, ()), AbGroup(A.rows - A.cols, ()), IntMatrix(0, A.cols, ())
-    d, _, v = _reduce(A, track_v=True)
+    d, v = _reduce(A, track_v=True)
     cokernel = _cokernel(A, d)
     r = A.rows - cokernel.free_rank
     vecs = [[row[j] for row in v] for j in range(r, A.cols)]

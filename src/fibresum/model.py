@@ -332,10 +332,10 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     torsion_doc = doc.get("embedding_torsion")
     implied_rows = (b1 if free_rows is None else 0) + (len(h1_torsion) if torsion_doc is None else 0)
     # An omitted row costs at least one cell, even at genus 0.
-    if implied_rows * max(two_g, 1) > MAX_IMPLIED_CELLS:
+    if (cells := implied_rows * max(two_g, 1)) > MAX_IMPLIED_CELLS:
         raise DocumentError(
             [
-                f"{where}: omitted embedding rows would hold {implied_rows} x {two_g} cells, "
+                f"{where}: {implied_rows} omitted embedding rows count as {cells} cells, "
                 f"more than {MAX_IMPLIED_CELLS} (b1 = {b1}, genus = {genus}, "
                 f"{len(h1_torsion)} torsion factor(s))"
             ]

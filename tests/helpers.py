@@ -1,7 +1,8 @@
 """Shared builders for the test suite: valid sides, random problems that
 pass the forms scope gate, random unimodular matrices, the matrix helpers
-that only tests need, the full presentation of H_1 of a sum as an
-oracle, and the two presentations of the cokernel-equivalence lemma."""
+that only tests need, an exact check of a Smith form, the full
+presentation of H_1 of a sum as an oracle, and the two presentations of
+the cokernel-equivalence lemma."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from fibresum import (
     analyse,
     cokernel_presentation,
     elliptic_surface,
+    intlat,
     validate_problem,
 )
 
@@ -136,6 +138,37 @@ def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=n)
 
 
+def checked_smith_form(A: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of A's Smith form from ``intlat._reduce`` with V,
+    checked exactly without U.
+
+    D is diagonal, its diagonal a nonnegative divisibility chain with zeros
+    last, and |det V| = 1.  A unimodular U with U A V = D exists iff the
+    columns of A V past the rank r are 0, column j < r is d_j times a
+    vector c_j, and the m x r matrix [c_j] extends to a basis of Z^m, that
+    is has every invariant factor 1 (by sympy, an independent oracle)."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    d, v = intlat._reduce(A, track_v=True)
+    m, n = A.rows, A.cols
+    diagonal = tuple(d[i][i] for i in range(min(m, n)))
+    assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+    assert all(x >= 0 for x in diagonal)
+    r = sum(1 for x in diagonal if x)
+    assert all(diagonal[:r]) and not any(diagonal[r:])
+    assert all(b % a == 0 for a, b in zip(diagonal[:r], diagonal[1:r]))
+    V = IntMatrix.from_rows(v, cols=n)
+    assert abs(V.det()) == 1
+    av = A @ V
+    assert all(av.entry(i, j) == 0 for i in range(m) for j in range(r, n))
+    assert all(av.entry(i, j) % diagonal[j] == 0 for i in range(m) for j in range(r))
+    if r:
+        c = [[av.entry(i, j) // diagonal[j] for j in range(r)] for i in range(m)]
+        assert [int(x) for x in invariant_factors(Matrix(c))] == [1] * r
+    return diagonal
+
+
 def random_valid_side(
     rng: random.Random,
     name: str,
@@ -198,16 +231,10 @@ def random_scope_problem(
             continue
         if with_t and rng.random() < 0.5:
             stacked = IntMatrix.vstack([side_m.embedding_free, side_n.embedding_free])
-            d = 2 * genus - sum(1 for x in _snf_diag(stacked) if x)
+            d = 2 * genus - intlat.rank(stacked)
             t = tuple(rng.randint(-5, 5) for _ in range(d))
             problem = FibreSumProblem(M=side_m, N=side_n, gluing=GluingClass(a), t=t)
         return problem
-
-
-def _snf_diag(matrix: IntMatrix):
-    from fibresum import smith_normal_form
-
-    return smith_normal_form(matrix).diagonal()
 
 
 def random_problem_any(rng: random.Random, *, g_max: int = 4) -> FibreSumProblem:

@@ -8,8 +8,6 @@ from fibresum import (
     AbGroup,
     cokernel_presentation,
     direct_sum,
-    is_isomorphic,
-    is_torsion_free,
     normal_form,
 )
 from helpers import block_diag, random_matrix
@@ -43,30 +41,33 @@ class TestDirectSum:
             b = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 7)
             combined = cokernel_presentation(block_diag([a, b]))
             summed = direct_sum(cokernel_presentation(a), cokernel_presentation(b))
-            assert is_isomorphic(combined, summed)
+            assert combined == summed
 
 
 class TestIsIsomorphic:
-    def test_equal_free(self):
-        assert is_isomorphic(AbGroup(3), AbGroup(3))
+    """Groups in normal form are isomorphic iff they are ``==``."""
 
-    def test_rejects_non_normal_form(self):
-        with pytest.raises(ValueError, match="normal form"):
-            is_isomorphic(AbGroup(0, (6,)), AbGroup(0, (2, 3)))
+    def test_equal_free(self):
+        assert normal_form(1, [0, 0, 1]) == AbGroup(3)
+
+    def test_non_normal_form_flagged(self):
+        # A hand-built value outside the normal form compares unequal to
+        # the normal form of the same group, and is_normal_form says so.
+        for torsion in ((2, 3), (4, 2), (1, 2), (0,)):
+            assert not AbGroup(0, torsion).is_normal_form()
+        assert AbGroup(0, (2, 3)) != AbGroup(0, (6,)) == normal_form(0, [2, 3])
+        assert all(AbGroup(0, t).is_normal_form() for t in ((), (2,), (2, 4), (6, 12)))
 
     def test_distinguishes_torsion(self):
-        assert not is_isomorphic(AbGroup(1, (2,)), AbGroup(1, (4,)))
+        assert AbGroup(1, (2,)) != AbGroup(1, (4,))
 
 
-class TestIsTorsionFree:
-    def test_free(self):
-        assert is_torsion_free(AbGroup(4))
-
-    def test_torsion(self):
-        assert not is_torsion_free(AbGroup(0, (2,)))
-
-    def test_trivial(self):
-        assert is_torsion_free(AbGroup(0))
+class TestConstructor:
+    def test_negative_free_rank_rejected(self):
+        # -1 is the boundary of the rule, and 0 the first value past it.
+        with pytest.raises(ValueError, match="free rank must be nonnegative"):
+            AbGroup(-1)
+        assert AbGroup(0).free_rank == 0
 
 
 class TestNormalForm:

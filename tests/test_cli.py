@@ -12,7 +12,7 @@ import pytest
 from fibresum import cli, engine, forms, intlat, model
 from fibresum.intlat import IntMatrix
 from fibresum.model import FibreSumProblem, GluingClass
-from helpers import make_side, run_python
+from helpers import make_side, random_matrix, random_unimodular, run_python
 
 K3_SUM = {
     "M": {"catalog": "E", "n": 2},
@@ -517,52 +517,59 @@ class TestPinnedOutput:
 
 
 class TestSnf:
+    def snf(self, tmp_path, matrix):
+        code, out, err = run(["snf", write_doc(tmp_path, matrix, name="matrix.json"), "--format", "json"])
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
     def test_example_matrix(self, tmp_path):
-        path = write_doc(tmp_path, [[2, 4], [6, 8]], name="matrix.json")
-        code, out, _ = run(["snf", path, "--format", "json"])
-        assert code == 0
-        payload = json.loads(out)
+        payload = self.snf(tmp_path, [[2, 4], [6, 8]])
         assert payload["diagonal"] == [2, 4]
         assert payload["rank"] == 2
 
-    def test_pinned_transforms(self, tmp_path):
-        path = write_doc(tmp_path, [[-6, 8], [-8, 8], [-5, -9]], name="matrix.json")
-        code, out, _ = run(["snf", path, "--format", "json"])
-        assert code == 0
-        assert json.loads(out) == {
-            "U": [[-1, 0, 1], [-13, 11, -2], [56, -47, 8]],
-            "D": [[1, 0], [0, 2], [0, 0]],
-            "V": [[1, 17], [0, 1]],
+    def test_pinned_payload(self, tmp_path):
+        assert self.snf(tmp_path, [[-6, 8], [-8, 8], [-5, -9]]) == {
             "diagonal": [1, 2],
             "rank": 2,
+            "kernel": [],
+            "cokernel": {"free_rank": 1, "torsion": [2], "rendered": "Z + Z/2"},
         }
+        assert self.snf(tmp_path, [[2, 4, -2], [1, 2, -1]]) == {
+            "diagonal": [1, 0],
+            "rank": 1,
+            "kernel": [[1, 0, 1], [0, 1, 2]],
+            "cokernel": {"free_rank": 1, "torsion": [], "rendered": "Z"},
+        }
+
+    def test_prints_only_invariants(self, tmp_path):
+        # Row moves keep every field, the kernel included; row and column
+        # moves keep the diagonal, the rank and the cokernel.  A transform
+        # in the output would change under the row moves.
+        rng = random.Random("snf-invariants")
+        for _ in range(50):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = random_matrix(rng, rows, cols, rng.choice([1, 4, 9]))
+            p, q = random_unimodular(rng, rows), random_unimodular(rng, cols)
+            payload = self.snf(tmp_path, m.to_rows())
+            assert self.snf(tmp_path, (p @ m).to_rows()) == payload
+            moved = self.snf(tmp_path, (p @ m @ q).to_rows())
+            assert moved == dict(payload, kernel=moved["kernel"])
 
     def test_text_output(self, tmp_path):
         path = write_doc(tmp_path, [[2, 4], [6, 8]], name="matrix.json")
         code, out, _ = run(["snf", path])
         assert code == 0
-        assert "U =" in out and "diagonal = [2, 4]" in out
+        assert "diagonal = [2, 4]" in out and "U =" not in out
 
     @pytest.mark.parametrize(
         "matrix, text",
         [
             (
                 [[-6, 8], [-8, 8], [-5, -9]],
-                "U =\n  -1 0 1\n  -13 11 -2\n  56 -47 8\n"
-                "D =\n  1 0\n  0 2\n  0 0\n"
-                "V =\n  1 17\n  0 1\n"
-                "diagonal = [1, 2]\nrank = 2\n",
+                "diagonal = [1, 2]\nrank = 2\nkernel = []\ncokernel = Z + Z/2\n",
             ),
-            (
-                [],
-                "U =\n  <empty 0x0>\nD =\n  <empty 0x0>\nV =\n  <empty 0x0>\n"
-                "diagonal = []\nrank = 0\n",
-            ),
-            (
-                [[]],
-                "U =\n  1\nD =\n  <empty 1x0>\nV =\n  <empty 0x0>\n"
-                "diagonal = []\nrank = 0\n",
-            ),
+            ([], "diagonal = []\nrank = 0\nkernel = []\ncokernel = 0\n"),
+            ([[]], "diagonal = []\nrank = 0\nkernel = []\ncokernel = Z\n"),
         ],
         ids=["3x2", "0x0", "1x0"],
     )
@@ -576,7 +583,7 @@ class TestSnf:
         code, out, _ = run(["snf", path, "--format", "json"])
         assert code == 0
         payload = json.loads(out)
-        assert max(abs(x) for name in ("U", "V") for row in payload[name] for x in row) > 2**64
+        assert payload["diagonal"] == [1, 10**40 + 10**20 - 21]
         assert cli.dump_structured(payload) == out
 
     def test_bad_matrix(self, tmp_path):
@@ -584,6 +591,16 @@ class TestSnf:
         code, _, err = run(["snf", path])
         assert code == 2
         assert "ragged" in err
+
+    @pytest.mark.parametrize(
+        "document", [{"matrix": [[1, 2]]}, [1, 2], 5, None], ids=["wrapper", "flat", "scalar", "null"]
+    )
+    def test_only_an_array_of_rows(self, tmp_path, document):
+        # Only a bare array of rows is a matrix document; the {"matrix": ...}
+        # wrapper is not one.
+        code, out, err = run(["snf", write_doc(tmp_path, document, name="matrix.json")])
+        assert (code, out) == (2, "")
+        assert "matrix document: expected an array of integer rows" in err
 
 
 def reference_json(value):

@@ -16,7 +16,6 @@ from fibresum import (
     analyse,
     complement_invariants,
     elliptic_surface,
-    is_isomorphic,
     phi_action_h1,
 )
 from helpers import (
@@ -123,7 +122,7 @@ class TestFirstHomology:
                     N=problem.N,
                     gluing=GluingClass(tuple(rng.randint(-9, 9) for _ in range(two_g))),
                 )
-                assert is_isomorphic(analyse(other).h1, base)
+                assert analyse(other).h1 == base
 
     def test_gluing_matters_when_divisibilities_share_a_factor(self):
         # With both surface classes divisible by 2 the gluing pairing
@@ -510,4 +509,4 @@ class TestStructuralProperties:
         rng = random.Random(2024)
         for _ in range(40):
             lhs, rhs = lemma_cokernels(rng)
-            assert is_isomorphic(lhs, rhs)
+            assert lhs == rhs

@@ -38,6 +38,20 @@ class TestValidateSide:
         side = make_side("S", genus=1, b2_plus=1, b2_minus=0)
         assert any("b2 >= 2" in v for v in validate_side(side))
 
+    def test_k_zero_flagged(self):
+        # k = 0 is the boundary of the rule, and k = 1 the first value past it.
+        assert validate_side(make_side("S", genus=1, k=0)) == ["k must be a positive integer"]
+        assert validate_side(make_side("S", genus=1, k=1)) == []
+
+    def test_b2_plus_zero_flagged(self):
+        # b2 = b2_minus >= 2 passes the b2 rule, so only the nucleus rule
+        # sees b2_plus = 0.
+        for b2_minus in (2, 3):
+            assert validate_side(make_side("S", genus=1, b2_plus=0, b2_minus=b2_minus)) == [
+                "b2_plus >= 1 and b2_minus >= 1 required "
+                "(the nucleus block [[B^2,1],[1,0]] has signature zero)"
+            ]
+
     def test_definite_side_rejected(self):
         side = make_side("S", genus=0, b2_plus=3, b2_minus=0)
         assert any("b2_minus >= 1" in v for v in validate_side(side))
@@ -227,8 +241,8 @@ class TestParseProblem:
                 model.parse_side(dict(side, **extra), "M")
             b1, count = extra.get("b1", rows), len(extra.get("h1_torsion", []))
             assert caught.value.messages == [
-                f"M: omitted embedding rows would hold {rows + 1} x {two_g} cells, more than "
-                f"{model.MAX_IMPLIED_CELLS} (b1 = {b1}, genus = 512, {count} torsion factor(s))"
+                f"M: {rows + 1} omitted embedding rows count as {(rows + 1) * two_g} cells, more "
+                f"than {model.MAX_IMPLIED_CELLS} (b1 = {b1}, genus = 512, {count} torsion factor(s))"
             ]
 
     def test_implied_cells_cap_at_genus_0(self):
@@ -241,7 +255,7 @@ class TestParseProblem:
         with pytest.raises(DocumentError) as caught:
             model.parse_side(dict(side, b1=cap + 1), "M")
         assert caught.value.messages == [
-            f"M: omitted embedding rows would hold {cap + 1} x 0 cells, more than "
+            f"M: {cap + 1} omitted embedding rows count as {cap + 1} cells, more than "
             f"{cap} (b1 = {cap + 1}, genus = 0, 0 torsion factor(s))"
         ]
 
