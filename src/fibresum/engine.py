@@ -119,10 +119,14 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     again, and R is reduced only when it is not diagonal.  The forms
     scope verdict is evaluated here too, once per sum.
 
-    A supplied t-vector must have length d; a ``model.DocumentError`` is
-    raised otherwise, so every analysis has a t-vector of the right
-    length.
+    Every problem, parsed or built by hand, passes this one gate: a
+    ``model.DocumentError`` lists every rule of ``model.validate_problem``
+    that it breaks before anything is computed, or else a supplied
+    t-vector whose length is not d.
     """
+    violations = model.validate_problem(problem)
+    if violations:
+        raise model.DocumentError(violations)
     M, N = problem.M, problem.N
     stacked = model.stacked_free_embedding(problem)
     alpha_basis, coker, lifts = intlat.kernel_and_cokernel(stacked)

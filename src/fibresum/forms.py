@@ -196,9 +196,7 @@ def sum_forms(analysis: SumAnalysis) -> SumForms:
     B_X^2 = B_M^2 + B_N^2.
 
     The characteristic property of the canonical class forces the parity
-    of each pair block: S_i^2 = K.S_i = r_i (mod 2).  On the nucleus it
-    reads K.B_X = B_X^2 (mod 2), which every validated side gives; a
-    hand-built side that breaks it raises ``InputDataError``.
+    of each pair block: S_i^2 = K.S_i = r_i (mod 2).
     """
     _require_scope(analysis)
     problem = analysis.problem
@@ -208,8 +206,6 @@ def sum_forms(analysis: SumAnalysis) -> SumForms:
     eta_prime = N.K_dot_B + 1 - b * N.B_squared
     b_sq = M.B_squared + N.B_squared
     k_dot_b = b * b_sq + eta + eta_prime
-    if (k_dot_b - b_sq) % 2 != 0:
-        raise InputDataError("characteristic property violated on the nucleus: K.B_X != B_X^2 (mod 2)")
     cc = CanonicalClass(
         # The square of the perpendicular part of K on each side.
         kbar_m_sq=M.K_squared - 2 * b * M.K_dot_B + b * b * M.B_squared,

@@ -153,11 +153,6 @@ class IntMatrix:
                 sign = -sign
         return sign * elimination.last
 
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-
 
 def _reduce(A: IntMatrix, track_v: bool = False) -> tuple[list[list[int]], list[list[int]] | None]:
     """The pivot loop behind every Smith reduction.  Returns the rows of D,

@@ -14,7 +14,6 @@ documents.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
@@ -50,7 +49,7 @@ document could ask for more memory than exists."""
 
 
 class DocumentError(ValueError):
-    """A problem document violates the schema or the model invariants."""
+    """A problem document violates the schema, or a problem the model's rules."""
 
     def __init__(self, messages: Sequence[str]):
         self.messages = list(messages)
@@ -389,16 +388,12 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
 
 
 def parse_problem(document: Any) -> FibreSumProblem:
-    """A problem from a document (dict or JSON text), checked against
-    every rule of :func:`validate_problem`.
+    """A problem from a parsed JSON document, checked against the schema,
+    the value types and the size caps.
 
-    The length of t is checked later, by :func:`engine.analyse`.
+    Every rule of :func:`validate_problem`, and the length of t, is checked
+    by :func:`engine.analyse`, which hand-built problems pass too.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except (ValueError, RecursionError) as exc:
-            raise DocumentError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(document, dict):
         raise DocumentError(["top level: expected an object"])
     unknown = set(document) - {"M", "N", "gluing", "t"}
@@ -419,11 +414,7 @@ def parse_problem(document: Any) -> FibreSumProblem:
     t_doc = document.get("t")
     t = None if t_doc is None else _as_int_list(t_doc, "t")
 
-    problem = FibreSumProblem(M=side_m, N=side_n, gluing=gluing, t=t)
-    violations = validate_problem(problem)
-    if violations:
-        raise DocumentError(violations)
-    return problem
+    return FibreSumProblem(M=side_m, N=side_n, gluing=gluing, t=t)
 
 
 def side_to_dict(side: ManifoldSide) -> dict[str, Any]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fibresum import cli, engine, forms, intlat, model
+from fibresum import cli, engine, intlat, model
 from fibresum.intlat import IntMatrix
 from fibresum.model import FibreSumProblem, GluingClass
 from helpers import make_side, random_matrix, random_unimodular, run_python
@@ -213,19 +213,21 @@ class TestCompute:
         assert report["forms"]["block_form"]["pm"]["parity"] == "unknown"
 
     def test_other_input_data_error_propagates(self, tmp_path):
-        # The same side, built by hand so that no validation runs, reaches
-        # the classification, which refuses it.
-        side = make_side("P", genus=1, b2_plus=2, b2_minus=4, p_parity="even")
-        problem = FibreSumProblem(M=side, N=model.elliptic_surface(2), gluing=GluingClass((0, 0)))
-        with pytest.raises(forms.InputDataError, match="divisible by 8") as info:
-            cli.build_report(problem)
-        assert not isinstance(info.value, forms.UnknownParityError)
-        # From a document, validate and compute both refuse it.
+        # From a document, validate and compute both refuse the side.
+        message = "M: an even p_parity needs sigma = 0 (mod 8), got sigma = -2"
         path = write_doc(tmp_path, EVEN_SIGNATURE_18)
         for command in ("validate", "compute"):
             code, out, err = run([command, path])
             assert (code, out) == (2, "")
-            assert err == "invalid input: M: an even p_parity needs sigma = 0 (mod 8), got sigma = -2\n"
+            assert err == f"invalid input: {message}\n"
+        # The same side built by hand is refused by analyse with the same
+        # text, before the classification sees it.
+        side = make_side("P", genus=1, b2_plus=2, b2_minus=4, p_parity="even")
+        problem = FibreSumProblem(M=side, N=model.elliptic_surface(2), gluing=GluingClass((0, 0)))
+        assert model.parse_problem(EVEN_SIGNATURE_18) == problem
+        with pytest.raises(model.DocumentError) as caught:
+            cli.build_report(problem)
+        assert caught.value.messages == [message]
 
     def test_alpha_basis_outside_kernel_maps_to_exit_3(self, tmp_path, monkeypatch):
         doc = dict(K3_SUM)

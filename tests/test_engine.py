@@ -1,6 +1,7 @@
 """Kernel data, Betti numbers, first homology, rim tori, split classes,
 the boundary diffeomorphism action, and complement invariants."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -36,6 +37,33 @@ def identity_embedding_side(name, genus, extra_b1=0):
     b1 = two_g + extra_b1
     rows = [[1 if i == j else 0 for j in range(two_g)] for i in range(b1)]
     return make_side(name, genus=genus, b1=b1, embedding=IntMatrix.from_rows(rows, cols=two_g))
+
+
+class TestValidationGate:
+    """``analyse`` applies every rule of ``validate_problem`` to problems
+    built by hand, which never pass through ``parse_problem``."""
+
+    E2 = elliptic_surface(2)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # A side rule; the t-vector is also too long, and the side
+            # rules are reported before d is known.
+            FibreSumProblem(
+                M=dataclasses.replace(E2, K_squared=1), N=E2, gluing=GluingClass((0, 0)), t=(1, 2, 3)
+            ),
+            FibreSumProblem(M=E2, N=make_side("S", genus=2), gluing=GluingClass((0,) * 4)),
+            FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0, 0))),
+        ],
+        ids=["side_rule", "genus_mismatch", "gluing_length"],
+    )
+    def test_every_rule_refused(self, problem):
+        violations = model.validate_problem(problem)
+        assert violations
+        with pytest.raises(model.DocumentError) as caught:
+            analyse(problem)
+        assert caught.value.messages == violations
 
 
 class TestKernelData:

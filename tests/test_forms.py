@@ -8,6 +8,7 @@ import pytest
 
 from fibresum import cli, engine
 from fibresum import (
+    DocumentError,
     FibreSumProblem,
     GluingClass,
     IntMatrix,
@@ -18,7 +19,7 @@ from fibresum import (
     embed_h2,
     sum_forms,
 )
-from fibresum.forms import BlockForm, InputDataError, PBlock, UnknownParityError
+from fibresum.forms import BlockForm, InputDataError, PBlock
 from helpers import elliptic_problem, make_side, random_scope_problem
 
 
@@ -216,33 +217,51 @@ class TestClassifyForm:
         fc = classify_form(bf)
         assert fc.decomposition == "1H + 1E8(+1)"
 
+    NUCLEUS_PARITY = ["M: K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]
+
     def test_nucleus_parity_is_bad_input(self):
         # K.B - B^2 odd breaks validate_side's characteristic rule; summed
-        # with E(2), the odd difference lands on the nucleus.
+        # with E(2), the odd difference would land on the nucleus.
         side = make_side("P", genus=1, K_dot_B=1, p_parity="odd")
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        with pytest.raises(InputDataError, match="characteristic"):
+        with pytest.raises(DocumentError) as caught:
             cli.build_report(problem)
+        assert caught.value.messages == self.NUCLEUS_PARITY
 
     @pytest.mark.parametrize("parity", ["odd", "unknown"])
     def test_sum_forms_checks_the_nucleus(self, parity):
-        # The nucleus is checked where K.B_X is computed, before any
-        # classification, so an unknown p_parity does not mask it.
+        # The rule is checked by analyse, before any form is built, so an
+        # unknown p_parity does not mask it.
         side = make_side("P", genus=1, K_dot_B=1, p_parity=parity)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
-        with pytest.raises(InputDataError, match="characteristic") as info:
+        with pytest.raises(DocumentError) as caught:
             sum_forms(analyse(problem))
-        assert not isinstance(info.value, UnknownParityError)
+        assert caught.value.messages == self.NUCLEUS_PARITY
+
+    @pytest.mark.parametrize(
+        "pm_block, pair",
+        [(PBlock(2, 1, "odd"), (4, 1)), (PBlock(0, 4, "odd"), (2, 4))],
+        ids=["odd_rank_plus_signature", "signature_above_rank"],
+    )
+    def test_impossible_rank_signature_pair(self, pm_block, pair):
+        # No sum of valid sides reaches this check, so it is fed a
+        # hand-built form: either condition alone must refuse it.
+        bf = BlockForm(pm_block=pm_block, pn_block=PBlock(0, 0, "odd"), pair_s_sq_parities=(), nucleus_b_sq=0)
+        with pytest.raises(InputDataError) as caught:
+            classify_form(bf)
+        assert str(caught.value) == f"impossible rank/signature pair {pair}"
 
     def test_definite_refused(self):
-        bf = BlockForm(
-            pm_block=PBlock(0, -2, "even"),
-            pn_block=PBlock(0, 0, "even"),
-            pair_s_sq_parities=(),
-            nucleus_b_sq=0,
-        )
-        fc = classify_form(bf)
-        assert fc.decomposition == "definite: classification out of scope"
+        # Negative and positive definite alike.
+        for signature in (-2, 2):
+            bf = BlockForm(
+                pm_block=PBlock(0, signature, "even"),
+                pn_block=PBlock(0, 0, "even"),
+                pair_s_sq_parities=(),
+                nucleus_b_sq=0,
+            )
+            fc = classify_form(bf)
+            assert fc.decomposition == "definite: classification out of scope"
 
 
 class TestDivisibility:

@@ -1,6 +1,6 @@
 """Mutation survey: single mutants of named modules, each run against tier-1.
 
-    python tools/mutate.py [--seed N] [--sample K] [--timeout S] MODULE[:FUNCTION] ...
+    python tools/mutate.py [--seed N] [--sample K] MODULE[:FUNCTION] ...
 
 A target is a module of ``src/fibresum`` (``engine``) or one function or
 class in it (``intlat:kernel_and_cokernel``).  Each mutant changes one
@@ -10,9 +10,10 @@ thing in it: ``+``/``-``, ``*``/``//``, ``%``/``//``, a comparison
 ``--sample`` draws that many of the mutants with ``--seed`` (all by
 default).  Each mutant is written into a copy of the repository under a
 temporary directory, never into the working tree, and tier-1 runs there
-with ``-x``.  Failing tests kill a mutant, and so does a run that passes
-the time limit.  Every survivor is printed with its line.  Not part of
-tier-1.
+with ``-x``.  Failing tests kill a mutant, and so does a run that takes
+more than three times as long as the clean run made first, so a mutant
+that loops forever costs seconds, not minutes.  Every survivor is printed
+with its line.  Not part of tier-1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,7 +75,7 @@ def apply(source: str, site: tuple[int, int, int, int, str]) -> str:
     return ast.unparse(tree)
 
 
-def tier1(copy: Path, timeout: float) -> bool:
+def tier1(copy: Path, timeout: float | None = None) -> bool:
     """True when tier-1 passes in ``copy`` within ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
@@ -89,7 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("targets", nargs="+", metavar="MODULE[:FUNCTION]")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=0, help="mutants to draw (0: all)")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per tier-1 run")
     args = parser.parse_args(argv)
     drawn = []
     for target in args.targets:
@@ -101,14 +102,18 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".*", "__pycache__"))
-        if not tier1(copy, args.timeout):
+        start = time.monotonic()
+        if not tier1(copy):
             print("tier-1 fails without a mutant; nothing to measure")
             return 2
+        clean = time.monotonic() - start
+        limit = 3 * clean
+        print(f"clean tier-1 run took {clean:.1f} s; each mutant gets {limit:.1f} s", flush=True)
         survivors = []
         for module, source, site in drawn:
             path = copy / "src" / "fibresum" / f"{module}.py"
             path.write_text(apply(source, site))
-            killed = not tier1(copy, args.timeout)
+            killed = not tier1(copy, limit)
             path.write_text(source)
             label = f"{module}:{site[3]} {site[4]}    | {source.splitlines()[site[3] - 1].strip()}"
             print(f"{'killed  ' if killed else 'SURVIVED'} {label}", flush=True)
