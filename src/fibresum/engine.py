@@ -239,8 +239,14 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
     x_M*k_M + x_N*k_N - <C, alpha> = 0.  With both surfaces indivisible
     the basis takes the explicit normal form B_M - B_N followed by
     S_i = <C, alpha_i>*B_N + alpha_i; for general divisibilities it is
-    the canonical kernel basis of the 1 x (2+d) defining equation, the only
-    basis checked against it: the explicit one satisfies it by construction.
+    the canonical (HNF) basis of the kernel of the 1 x (2+d) defining
+    equation v, the only basis checked against it: the explicit one
+    satisfies it by construction.  That kernel needs no reduction.  Let
+    g_j be a gcd of v_0..v_j, up to sign and never 0 as v_0 = k_M >= 1,
+    and c a vector on v_0..v_{j-1} with c.v = g_{j-1} (a chain of extended
+    gcds).  Then z_j = (v_j/g_j)*c - (g_{j-1}/g_j)*e_j lies in the kernel,
+    and the kernel vectors supported on 0..j have as entry j exactly the
+    multiples of g_{j-1}/g_j, so z_1..z_{d+1} are a basis.
     """
     d = len(a_adapted)
     if k_m == 1 and k_n == 1:
@@ -249,9 +255,13 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
             unit = tuple(1 if j == i else 0 for j in range(d))
             classes.append(SplitClass(0, ai, unit))
         return tuple(classes)
-    defining = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a_adapted)]], cols=2 + d)
-    kernel = intlat.kernel_and_cokernel(defining)[0]
-    classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in kernel.to_rows()]
+    equation = [k_m, k_n, *(-x for x in a_adapted)]
+    g, bezout, vectors = k_m, [1], []
+    for j, x in enumerate(equation[1:], 1):
+        h, s, t = _extended_gcd(g, x)
+        vectors.append([x // h * c for c in bezout] + [-(g // h)] + [0] * (d + 1 - j))
+        g, bezout = h, [s * c for c in bezout] + [t]
+    classes = [SplitClass(v[0], v[1], tuple(v[2:])) for v in intlat._hnf_rows(vectors, len(equation))]
     for c in classes:
         value = c.b_m * k_m + c.b_n * k_n - sum(x * y for x, y in zip(a_adapted, c.alpha))
         if value != 0:
@@ -259,6 +269,15 @@ def _split_classes(k_m: int, k_n: int, a_adapted: tuple[int, ...]) -> tuple[Spli
     if len(classes) != d + 1:
         raise AssertionError("split-class basis must have rank d + 1")
     return tuple(classes)
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(h, s, t) with s*a + t*b = h, a gcd of a and b up to sign."""
+    s, t, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s, t, s1, t1 = b, r, s1, t1, s - q * s1, t - q * t1
+    return a, s, t
 
 
 def phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:
@@ -284,7 +303,13 @@ def complement_invariants(side: ManifoldSide) -> ComplementInvariants:
     complement (rank 2g - rank of the embedding) on top of the quotient
     of H^2 by the surface class, and its torsion is that of H_1 by
     universal coefficients.
+
+    Like :func:`analyse`, it first raises a ``model.DocumentError`` listing
+    every rule of ``model.validate_side`` that the side breaks.
     """
+    violations = model.validate_side(side)
+    if violations:
+        raise model.DocumentError(violations)
     h1 = abgroups.normal_form(side.b1, side.h1_torsion + (side.k,))
     ker_i_rank = 2 * side.genus - intlat.rank(side.embedding_free)
     h2_rank = (side.b2 - 1) + ker_i_rank

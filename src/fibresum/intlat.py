@@ -20,19 +20,20 @@ certificate below.  :func:`kernel_and_cokernel` skips the reduction
 exactly when a tall A has full column rank and every invariant factor 1,
 that is when d_n, the gcd of its maximal minors, is 1 (Kannan and
 Bachem, SIAM J. Comput. 1979).  :func:`_unit_invariant_factors` decides
-this from that elimination: by Sylvester's identity, each further row,
-carried through it at O(n^2), gives a maximal minor with every row
-before it at O(1) each.  A gcd of these minors that stays above
-1 is settled by an elimination modulo it, split into coprime parts at
-each zero divisor.  The kernel is then 0, the cokernel free and there
-are no lifts, which is what the reduction returns, so the result does not
-depend on which path ran.
+this from that elimination: by Sylvester's identity and Cramer's rule,
+each further row, from two dot products with A's own row, gives a
+maximal minor with every row before it at O(1) each.  A gcd of these
+minors that stays above 1 is settled by an elimination modulo it, split
+into coprime parts at each zero divisor.  The kernel is then 0, the
+cokernel free and there are no lifts, which is what the reduction
+returns, so the result does not depend on which path ran.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .abgroups import AbGroup, as_ints
@@ -297,8 +298,8 @@ def _hnf_rows(vectors: list[list[int]], width: int) -> list[list[int]]:
 
 class _FractionFree:
     """One fraction-free (Bareiss) elimination of the rows of A, run one
-    column at a time by :meth:`pivot`, with each row carried through the
-    stages only when it is read.
+    column at a time by :meth:`pivot`, with each row copied from A and
+    carried through the stages only when it is read.
 
     Stage k has a pivot row, itself carried through stages 0..k-1, its
     column c_k and the divisor p_{k-1}, the pivot of stage k - 1 (1 at
@@ -308,22 +309,44 @@ class _FractionFree:
     row, in columns c_0..c_k and j: the numerator is the 2 x 2 determinant
     of four such minors after stage k - 1, and p_{k-1} is the minor they
     share, so the division is exact.  Entries up to c_k are left stale.
+
+    :meth:`carry` takes a row through two stages s and s + 1 at once.
+    With (P, c, d) and (Q, c', p) their pivot rows, columns and divisors,
+    p = P[c], q = Q[c'] and x = row[c], stage s makes row[c'] into
+    y = (p*row[c'] - x*P[c']) / d, and the two stages make entry j > c'
+    ``(q*(p*row[j] - x*P[j]) / d - y*Q[j]) / p``, that is
+    ``(q*p*row[j] - q*x*P[j] - d*y*Q[j]) / (d*p)``: the same integer, so
+    the division is exact, from three products and one division where
+    two stages take four and two.
     """
 
     def __init__(self, A: IntMatrix) -> None:
-        self.rows = A.to_rows()
+        self.A = A
+        self.rows: list[list[int] | None] = [None] * A.rows  # copied when first carried
         self.unused = list(range(A.rows))  # rows not yet a pivot, in row order
         self.level = [0] * A.rows  # the stages each row has been carried through
         self.stages: list[tuple[list[int], int, int]] = []  # (pivot row, column, divisor)
         self.last = 1  # the pivot of the last stage
 
     def carry(self, i: int) -> list[int]:
-        """Row i, carried through every stage so far."""
-        row = self.rows[i]
-        for pivot, c, divisor in self.stages[self.level[i] :]:
+        """Row i, carried through every stage so far, two at a time."""
+        row, stages = self.rows[i], self.stages
+        if row is None:
+            row = self.rows[i] = list(self.A.row(i))
+        for s in range(self.level[i], len(stages), 2):
+            pivot, c, divisor = stages[s]
             p, x = pivot[c], row[c]
-            row[c + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[c + 1 :], pivot[c + 1 :])]
-        self.level[i] = len(self.stages)
+            if s + 1 == len(stages):
+                row[c + 1 :] = [(p * a - x * b) // divisor for a, b in zip(row[c + 1 :], pivot[c + 1 :])]
+                break
+            second, c, _ = stages[s + 1]
+            y = row[c] = (p * row[c] - x * pivot[c]) // divisor
+            q = second[c]
+            qp, qx, dy, dp = q * p, q * x, divisor * y, divisor * p
+            row[c + 1 :] = [
+                (qp * a - qx * b - dy * e) // dp for a, b, e in zip(row[c + 1 :], pivot[c + 1 :], second[c + 1 :])
+            ]
+        self.level[i] = len(stages)
         return row
 
     def pivot(self, j: int) -> int | None:
@@ -345,18 +368,27 @@ def _unit_invariant_factors(A: IntMatrix) -> bool:
     factor 1, that is iff d_n, the gcd of its n x n minors, is 1.
 
     For n = 1, d_n is the gcd of the column.  Otherwise the elimination
-    :class:`_FractionFree` takes a pivot in each of columns 0..n-3; a
-    column with no pivot means rank below n.  Each unused row, carried
-    through those stages, keeps two live entries (x0, x1) = (x[n-2],
-    x[n-1]).  By Sylvester's identity, for two such rows x and y,
-    ``(x0*y1 - x1*y0) / p``, with p the last pivot (1 when n = 2), is plus
-    or minus the n x n minor on the pivot rows, x and y.  The minors of
-    each further row are folded into their gcd delta, a multiple of d_n,
-    until delta = 1 or a row leaves a nonzero delta unchanged.  delta = 0
-    after every row means rank below n.  When m = n, delta is |det A| =
-    d_n.  Otherwise a delta above 1 is settled by
-    :func:`_full_rank_modulo`: d_n = 1 iff A has rank n modulo every prime
-    dividing delta.
+    :class:`_FractionFree` takes a pivot in each of columns 0..k-1, k =
+    n - 2; a column with no pivot means rank below n.  Let P be the pivot
+    rows of A, in pivot order, and P_k their k x k block in those columns,
+    so that the last pivot p (1 when n = 2) is det P_k.  Carried through
+    the stages, an unused row x would keep two live entries: for c = k and
+    k + 1, the minor on P and x in columns 0..k-1 and c, which is
+    ``p*x[c] - x[:k].w_c`` (a Schur complement), with w_c = p P_k^-1 P[:, c]
+    integral by Cramer's rule.  So no row is carried; each w_c comes from
+    the pivot rows.  Row i of P minus multiples of rows 0..i-1 is zero
+    before column i and, from column i on, u_i / p_{i-1}, with u_i the
+    pivot row of stage i (p_{-1} = 1).  So ``P_k w = p P[:, c]`` is
+    equivalent to ``sum(u_i[l]*w[l] for i <= l < k) = p*u_i[c]`` for each
+    i, solved from i = k - 1 down, each division by u_i[i] exact since
+    w_c is integral.  By Sylvester's identity, for two unused rows with
+    live entries (x0, x1) and (y0, y1), ``(x0*y1 - x1*y0) / p`` is plus or
+    minus the n x n minor on the pivot rows, x and y.  The minors of each
+    further row are folded into their gcd delta, a multiple of d_n, until
+    delta = 1 or a row leaves a nonzero delta unchanged.  delta = 0 after
+    every row means rank below n.  When m = n, delta is |det A| = d_n.
+    Otherwise a delta above 1 is settled by :func:`_full_rank_modulo`:
+    d_n = 1 iff A has rank n modulo every prime dividing delta.
     """
     m, n = A.rows, A.cols
     if not 1 <= n <= m:
@@ -367,11 +399,22 @@ def _unit_invariant_factors(A: IntMatrix) -> bool:
     for j in range(n - 2):
         if elimination.pivot(j) is None:
             return False
-    p = elimination.last
+    k, p = n - 2, elimination.last
+    pivots = [row for row, _, _ in elimination.stages]
+    cofactors = []
+    for c in (k, k + 1):
+        w: list[int] = []  # w_c[i + 1 :] as i runs down
+        for i in reversed(range(k)):
+            u = pivots[i]
+            w.insert(0, (p * u[c] - sum(map(mul, u[i + 1 : k], w))) // u[i])
+        cofactors.append(w)
+    w0, w1 = cofactors
     delta = 0
     tails: list[tuple[int, int]] = []
     for i in elimination.unused:
-        y0, y1 = elimination.carry(i)[n - 2 :]
+        x = A.row(i)
+        y0 = p * x[k] - sum(map(mul, x, w0))
+        y1 = p * x[k + 1] - sum(map(mul, x, w1))
         before = delta
         for x0, x1 in tails:
             delta = math.gcd(delta, (x0 * y1 - x1 * y0) // p)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from fibresum import cli, intlat, model
+from fibresum import cli, engine, intlat, model
 from fibresum import (
     AbGroup,
     FibreSumProblem,
@@ -278,6 +278,22 @@ class TestSplitClasses:
                 pairing = sum(x * y for x, y in zip(kd.a_adapted, c.alpha))
                 assert c.b_m * problem.M.k + c.b_n * problem.N.k - pairing == 0
 
+    def test_divisible_basis_is_the_reduced_kernel(self):
+        # The extended-gcd basis equals the canonical kernel basis that a
+        # Smith reduction of the defining equation gives, including zero,
+        # large and repeated entries.
+        rng = random.Random("split-classes")
+        for _ in range(300):
+            k_m, k_n = rng.randint(1, 12), rng.randint(2, 12)
+            if rng.randrange(2):
+                k_m, k_n = k_n, k_m
+            bound = rng.choice([0, 3, 10**12])
+            a = tuple(rng.randint(-bound, bound) for _ in range(rng.randint(0, 6)))
+            equation = IntMatrix.from_rows([[k_m, k_n, *(-x for x in a)]])
+            kernel = intlat.kernel_and_cokernel(equation)[0]
+            basis = [(c.b_m, c.b_n, *c.alpha) for c in engine._split_classes(k_m, k_n, a)]
+            assert basis == [tuple(v) for v in kernel.to_rows()]
+
     def test_labels(self):
         basis = analyse(elliptic_problem(2, 2, a=(3, 0))).split_classes
         assert basis[0].label() == "B_M - B_N"
@@ -322,9 +338,9 @@ class TestSmithBudget:
     read off the Smith form of S is diagonal (always so when neither side
     has H_1 torsion and gcd(k_M, k_N) = 1), else one of R, whose shape
     (|tau| + |T'|) x (|tau| + d + |T'|) is never that of the full
-    presentation; one for the split classes of divisible surfaces; none
-    for a complement, whose rank comes from an elimination; and none in
-    parsing, with or without a t-vector."""
+    presentation; none for the split classes, whose basis comes from
+    extended gcds; none for a complement, whose rank comes from an
+    elimination; and none in parsing, with or without a t-vector."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -383,7 +399,7 @@ class TestSmithBudget:
         side = make_side("D", genus=1, k=2)
         problem = FibreSumProblem(M=side, N=elliptic_surface(2), gluing=GluingClass((0, 0)))
         assert "skipped" in cli.build_report(problem)["forms"]
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", sorted(LADDER_EMBEDDINGS))
     def test_ladder_report_certified(self, calls, kind):
@@ -522,6 +538,45 @@ class TestComplementInvariants:
         assert inv.h1 == AbGroup(1, (6,))
         assert inv.h1_cohom_rank == 1
         assert inv.h2_torsion == (6,)
+
+
+class TestComplementGate:
+    """``complement_invariants`` refuses a side that breaks any rule of
+    ``validate_side``, with its messages, one side per kind of rule."""
+
+    SIDE = make_side("S", genus=1)
+
+    @pytest.mark.parametrize(
+        "side",
+        [
+            dataclasses.replace(SIDE, b1=-1),
+            dataclasses.replace(SIDE, genus=-1),
+            make_side("S", genus=513),
+            make_side("S", genus=1, k=0),
+            make_side("S", genus=1, b2_plus=1, b2_minus=0),
+            make_side("S", genus=1, b2_plus=0, b2_minus=3),
+            dataclasses.replace(SIDE, K_squared=SIDE.K_squared + 1),
+            make_side("S", genus=1, K_dot_B=1),
+            make_side("S", genus=1, h1_torsion=(4, 2)),
+            dataclasses.replace(SIDE, b1=3, K_squared=SIDE.K_squared - 12),
+            dataclasses.replace(SIDE, h1_torsion=(2,)),
+            make_side("S", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0, 0)),)),
+            make_side("S", genus=1, p_parity="mixed"),
+            make_side("S", genus=1, b2_plus=3, p_parity="even"),
+            make_side("S", genus=1, kbar_divisibility=-1),
+        ],
+        ids=[
+            "b1", "genus", "genus_cap", "k", "b2", "b2_signs", "K_squared", "characteristic",
+            "torsion_chain", "embedding_shape", "torsion_moduli", "torsion_row", "parity",
+            "even_signature", "kbar",
+        ],
+    )
+    def test_every_side_rule_refused(self, side):
+        violations = model.validate_side(side)
+        assert violations
+        with pytest.raises(model.DocumentError) as caught:
+            complement_invariants(side)
+        assert caught.value.messages == violations
 
 
 class TestStructuralProperties:

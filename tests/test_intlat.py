@@ -182,6 +182,88 @@ class TestDifferentialOracles:
                 assert all(x == 1 for x in invariant_factors(Matrix(basis.to_rows())))
 
 
+def pivot_rows(elimination):
+    """The rows of A that are pivots of ``elimination``, in stage order."""
+    return [next(i for i, r in enumerate(elimination.rows) if r is row) for row, _, _ in elimination.stages]
+
+
+class TestFractionFree:
+    """Every value the elimination carries is a minor of A (Sylvester's
+    identity), whichever stages a row goes through in one pass."""
+
+    def test_carried_rows_are_minors(self):
+        # Stages are taken one column at a time, as rank takes them, and a
+        # random subset of the unused rows is carried after each, so rows
+        # go through odd and even numbers of stages at once.  Columns with
+        # no pivot (a zero column, or one that the stages before clear)
+        # are skipped.
+        from sympy import Matrix
+
+        rng = random.Random("fraction-free-carry")
+        counts, skipped = set(), 0
+        for _ in range(40):
+            m, n = rng.randint(2, 8), rng.randint(2, 7)
+            rows = random_matrix(rng, m, n, rng.choice([3, 10**6])).to_rows()
+            kind = rng.randrange(3)
+            if kind:
+                j = rng.randrange(1, n)
+                for row in rows:
+                    row[j] = 0 if kind == 1 else 2 * row[j - 1]
+            A = IntMatrix.from_rows(rows)
+            elimination = intlat._FractionFree(A)
+            for j in range(n):
+                skipped += elimination.pivot(j) is None
+                for i in rng.sample(elimination.unused, rng.randint(0, len(elimination.unused))):
+                    elimination.carry(i)
+            columns = [c for _, c, _ in elimination.stages]
+            counts.add(len(columns))
+            pivots = pivot_rows(elimination)
+            for i in elimination.unused:
+                row = elimination.carry(i)
+                for j in range(columns[-1] + 1 if columns else 0, n):
+                    minor = Matrix([[rows[r][c] for c in columns + [j]] for r in pivots + [i]])
+                    assert row[j] == minor.det()
+            block = Matrix([[rows[r][c] for c in columns] for r in pivots])
+            assert elimination.last == (block.det() if columns else 1)
+        assert {1, 2, 3, 4} <= counts and skipped
+
+    def test_tail_minors(self, monkeypatch):
+        """Each minor that the certificate folds into delta is the n x n
+        minor on the pivot rows and two unused rows, in that order, for
+        odd and even numbers k = n - 2 of stages."""
+        from sympy import Matrix
+
+        minors = []
+
+        def gcd(*values):
+            minors.append(values[-1])
+            return math.gcd(*values)
+
+        monkeypatch.setattr(intlat, "math", type("spy", (), {"gcd": staticmethod(gcd)}))
+        monkeypatch.setattr(intlat, "_full_rank_modulo", lambda *args: False)
+        rng = random.Random("tail-minors")
+        ks, compared = set(), 0
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            rows = random_matrix(rng, rng.randint(n, 2 * n + 2), n, 4).to_rows()
+            if rng.randrange(2):
+                for row in rows:
+                    row[-1] *= 6
+            A = IntMatrix.from_rows(rows)
+            elimination = intlat._FractionFree(A)
+            if any(elimination.pivot(j) is None for j in range(n - 2)):
+                continue
+            pivots, unused = pivot_rows(elimination), elimination.unused
+            minors.clear()
+            intlat._unit_invariant_factors(A)
+            pairs = [(a, b) for b in range(len(unused)) for a in range(b)]
+            for minor, (a, b) in zip(minors, pairs):
+                assert minor == Matrix([rows[r] for r in pivots + [unused[a], unused[b]]]).det()
+                compared += 1
+            ks.add(n - 2)
+        assert {0, 1, 2, 3} <= ks and compared > 200
+
+
 def certificate_pool(kind, count):
     """Ladder-shaped 2n x n matrices (n <= 6, |entries| <= 5) of one kind,
     told apart by sympy: ``coprime_minors`` (the top and bottom n x n

@@ -311,6 +311,22 @@ class TestParseProblem:
             model.parse_side(side, "M")
         assert caught.value.messages == [message]
 
+    def test_first_error_named(self):
+        # The errors come in the order of the per-value checks: a bad
+        # integer in row 0 before a row that is not a list, a bad integer
+        # before a row of the wrong width, and the first bad required
+        # number in schema order.
+        side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
+                "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
+                "embedding_free": [[0, 1.5], (1, 0)]}
+        for rows in ([[0, 1.5], (1, 0)], [[0, 1, 0], [1, 1.5]]):
+            with pytest.raises(DocumentError) as caught:
+                model.parse_side(dict(side, embedding_free=rows), "M")
+            assert caught.value.messages == ["M.embedding_free: expected an integer, got 1.5"]
+        with pytest.raises(DocumentError) as caught:
+            model.parse_side(dict(side, genus="1", b2_plus=True), "M")
+        assert caught.value.messages == ["M.b2_plus: expected an integer, got True"]
+
     @pytest.mark.parametrize(
         "fields, message",
         [
