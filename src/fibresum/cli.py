@@ -269,9 +269,20 @@ def dump_structured(payload: Any) -> str:
     That call is not made because, once ``indent`` is set, CPython drops its
     C encoder for a pure-Python one that costs as much as computing a small
     report.  Only str-keyed dicts, lists, tuples, str, int, bool and None
-    are accepted; any other type raises ``TypeError``.
+    are accepted; any other type raises ``TypeError``.  An int with
+    |i| <= 256 is looked up in ``_DECIMAL``, a table of decimal strings
+    built at import, and any other printed by ``int.__repr__``.
     """
     return _write_json(payload, "\n") + "\n"
+
+
+class _Decimal(dict):
+    """The JSON text of an int: built once for |i| <= 256, else ``int.__repr__``."""
+
+    __missing__ = staticmethod(int.__repr__)
+
+
+_DECIMAL = _Decimal({i: str(i) for i in range(-256, 257)})
 
 
 def _write_json(value: Any, indent: str) -> str:
@@ -280,7 +291,7 @@ def _write_json(value: Any, indent: str) -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return int.__repr__(value)
+        return _DECIMAL[value]
     if value is None:
         return "null"
     if value is True:
@@ -301,10 +312,12 @@ def _write_json(value: Any, indent: str) -> str:
         if not value:
             return "[]"
         if {int}.issuperset(map(type, value)):
-            items = map(int.__repr__, value)
+            items = map(_DECIMAL.__getitem__, value)
         else:
             items = [_write_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, int):
+        return int.__repr__(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

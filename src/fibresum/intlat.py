@@ -92,18 +92,16 @@ class IntMatrix:
 
     @classmethod
     def vstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        """Stack matrices with equal column counts on top of each other."""
+        """Stack matrices with equal column counts; their entries, already checked, are not scanned."""
         if not blocks:
             raise ValueError("vstack needs at least one block")
         cols = blocks[0].cols
-        flat: list[int] = []
-        rows = 0
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("column mismatch in vstack")
-            flat.extend(b.entries)
-            rows += b.rows
-        return cls(rows, cols, tuple(flat))
+        if any(b.cols != cols for b in blocks):
+            raise ValueError("column mismatch in vstack")
+        stacked = object.__new__(cls)
+        entries = sum((b.entries for b in blocks), ())
+        vars(stacked).update(rows=sum(b.rows for b in blocks), cols=cols, entries=entries)
+        return stacked
 
     # -- access ------------------------------------------------------------
 
@@ -133,7 +131,7 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
     def det(self) -> int:
         """Exact determinant from the fraction-free elimination

@@ -15,7 +15,7 @@ documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .abgroups import AbGroup
 from .intlat import IntMatrix, as_ints
@@ -284,13 +284,16 @@ _SIDE_REQUIRED = ("b1", "b2_plus", "b2_minus", "K_squared", "K_dot_B", "B_square
 _SIDE_OPTIONAL = tuple(f.name for f in fields(ManifoldSide) if f.name not in _SIDE_REQUIRED)
 
 
-def _as_int_list(value: Any, where: str) -> tuple[int, ...]:
-    """A document's integer list, under the integer rule of ``as_ints``."""
+def _as_int_list(value: Any, where: str, build: Callable[[list], Any] | None = None) -> Any:
+    """A document's integer list under the integer rule of ``as_ints``, or ``build`` of it, whose
+    constructor applies that rule; the list is then scanned again only to name the culprit."""
     if not isinstance(value, list):
         raise DocumentError([f"{where}: expected a list of integers, got {value!r}"])
     try:
-        return as_ints(value, where)
+        return as_ints(value, where) if build is None else build(value)
     except ValueError as exc:
+        if build is not None:
+            _as_int_list(value, where)
         raise DocumentError([str(exc)]) from exc
 
 
@@ -340,16 +343,19 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
             ]
         )
 
-    if free_rows is not None:
-        if not isinstance(free_rows, list):
-            raise DocumentError([f"{where}.embedding_free: expected an array of rows"])
-        free_rows = [_as_int_list(r, f"{where}.embedding_free") for r in free_rows]
+    if free_rows is not None and not isinstance(free_rows, list):
+        raise DocumentError([f"{where}.embedding_free: expected an array of rows"])
     try:
         if free_rows is None:
             embedding_free = IntMatrix.zeros(b1, two_g)
-        else:
+        elif all(isinstance(r, list) for r in free_rows):
             embedding_free = IntMatrix.from_rows(free_rows, cols=two_g)
+        else:
+            raise ValueError
     except ValueError as exc:
+        # The constructor's scan is the one integer check; row by row names its culprit, if any.
+        for r in free_rows or ():
+            _as_int_list(r, f"{where}.embedding_free")
         raise DocumentError([f"{where}.embedding_free: {exc} (b1 = {b1}, genus = {genus})"]) from exc
 
     if torsion_doc is None:
@@ -409,12 +415,11 @@ def parse_problem(document: Any) -> FibreSumProblem:
     gluing_doc = document["gluing"]
     if not isinstance(gluing_doc, dict) or set(gluing_doc) != {"a"}:
         raise DocumentError(["gluing: expected an object with the single field 'a'"])
-    gluing = GluingClass(_as_int_list(gluing_doc["a"], "gluing.a"))
+    gluing = _as_int_list(gluing_doc["a"], "gluing.a", GluingClass)
 
-    t_doc = document.get("t")
-    t = None if t_doc is None else _as_int_list(t_doc, "t")
-
-    return FibreSumProblem(M=side_m, N=side_n, gluing=gluing, t=t)
+    if (t_doc := document.get("t")) is None:
+        return FibreSumProblem(side_m, side_n, gluing)
+    return _as_int_list(t_doc, "t", lambda t: FibreSumProblem(side_m, side_n, gluing, t))
 
 
 def side_to_dict(side: ManifoldSide) -> dict[str, Any]:

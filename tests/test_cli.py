@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import dataclasses
+import enum
 import io
 import json
 import random
@@ -609,6 +610,9 @@ def reference_json(value):
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+LEVEL = enum.IntEnum("Level", "ONE TWO")
+
+
 TEXT_POOLS = (
     [chr(c) for c in range(0x20, 0x7F)],
     [chr(c) for c in range(0x20)] + ["\x7f", '"', "\\"],
@@ -695,6 +699,49 @@ class TestDumpStructured:
     )
     def test_explicit_cases(self, value):
         assert cli.dump_structured(value) == reference_json(value)
+
+    # Ints with |i| <= 256 are printed from the table ``cli._DECIMAL``, the
+    # rest by ``int.__repr__``; the cases straddle that bound.
+    LOW, HIGH = -256, 256
+
+    def test_table_spans_the_bound(self):
+        assert sorted(cli._DECIMAL) == list(range(self.LOW, self.HIGH + 1))
+        assert all(text == str(i) for i, text in cli._DECIMAL.items())
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [LOW, LOW - 1, HIGH, HIGH + 1],
+            {"low": LOW, "below": LOW - 1, "high": HIGH, "above": HIGH + 1},
+            HIGH + 1,
+            LOW - 1,
+            [0, -5, 5, 10**6, HIGH, -(2**70), 3],
+            [[HIGH + 1, 0], [LOW, 2**64]],
+        ],
+        ids=["list", "dict", "above", "below", "mixed", "rows"],
+    )
+    def test_table_bound(self, value):
+        assert cli.dump_structured(value) == reference_json(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[1, True], [False, 0, True, 1], [1, LEVEL.TWO, 300], {"level": LEVEL.TWO}, [LEVEL.TWO]],
+        ids=["bool", "bools", "subclass", "subclass_value", "subclass_only"],
+    )
+    def test_not_exactly_int_in_int_list(self, value):
+        # A bool is no int in JSON; an int subclass prints as its int.
+        assert cli.dump_structured(value) == reference_json(value)
+
+    def test_5000_digit_int(self):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        try:
+            cli._lift_digit_limit()
+            value = {"big": 7 * 10**4999, "row": [-(10**4999), 1, self.HIGH]}
+            assert len(str(value["big"])) == 5000
+            assert cli.dump_structured(value) == reference_json(value)
+        finally:
+            if digits is not None:
+                sys.set_int_max_str_digits(digits)
 
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {2: 3}}])
     def test_other_types_raise(self, value):

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from fibresum import cli, engine, intlat, model
+from fibresum import abgroups, cli, engine, intlat, model
 from fibresum import (
     AbGroup,
     FibreSumProblem,
@@ -449,6 +449,51 @@ class TestSmithBudget:
         report = cli.build_report(model.parse_problem(self.DOC_WITH_T))
         assert report["forms"]["canonical_class"]["t_coeffs"] == [1, 0]
         assert len(calls) == 1
+
+
+class TestIntegerCheckBudget:
+    """Values that pass the integer rule ``as_ints`` from parsing a genus-10
+    ladder document to ``analyse``: each embedding entry once, in the
+    ``IntMatrix`` constructor that ``parse_side`` calls, and the stacked
+    embedding S not at all, since ``vstack`` joins matrices whose entries
+    were checked already."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        scans = []
+        original = abgroups.as_ints
+
+        def counting(values, what):
+            values = tuple(values)
+            scans.append((what, len(values)))
+            return original(values, what)
+
+        for module in (abgroups, intlat, model, engine):
+            monkeypatch.setattr(module, "as_ints", counting)
+        return scans
+
+    def test_ladder_entries_scanned_once(self, scans):
+        genus, b1 = 10, 20
+        rng = random.Random(10)
+        sides = [
+            make_side(name, genus=genus, b1=b1, b2_plus=3, embedding=IntMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(2 * genus)] for _ in range(b1)]
+            ))
+            for name in "MN"
+        ]
+        gluing = GluingClass(tuple(rng.randint(-10, 10) for _ in range(2 * genus)))
+        document = model.problem_to_dict(FibreSumProblem(M=sides[0], N=sides[1], gluing=gluing))
+        scans.clear()
+        analysis = analyse(model.parse_problem(document))
+        # S is injective with every invariant factor 1, so no matrix but the
+        # two embeddings holds an entry.
+        assert (analysis.d, analysis.rim_tori) == (0, AbGroup(0))
+        entries = 2 * b1 * 2 * genus
+        assert sum(n for what, n in scans if what == "matrix entries") == entries
+        assert not [what for what, _ in scans if "embedding_free" in what]
+        # Every other value checked is one of the few scalars, the gluing
+        # vector and the groups built from S.
+        assert sum(n for _, n in scans) - entries < 100
 
 
 class TestPhiAction:

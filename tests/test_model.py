@@ -300,10 +300,20 @@ class TestParseProblem:
             ([1, 2.0], "M.embedding_free: expected an integer, got 2.0"),
             (["1", 2], "M.embedding_free: expected an integer, got '1'"),
             ((1, 2), "M.embedding_free: expected a list of integers, got (1, 2)"),
+            (5, "M.embedding_free: expected a list of integers, got 5"),
+            (None, "M.embedding_free: expected a list of integers, got None"),
+            ("10", "M.embedding_free: expected a list of integers, got '10'"),
+            ({"0": 1}, "M.embedding_free: expected a list of integers, got {'0': 1}"),
+            ([1], "M.embedding_free: ragged rows (b1 = 2, genus = 1)"),
+            ([1, 0, 0], "M.embedding_free: ragged rows (b1 = 2, genus = 1)"),
+            ([1, 0, 0.5], "M.embedding_free: expected an integer, got 0.5"),
         ],
-        ids=["bool", "float", "str", "tuple"],
+        ids=["bool", "float", "str", "tuple", "int_row", "null_row", "str_row", "object_row",
+             "short_row", "long_row", "long_row_float"],
     )
     def test_embedding_entry_errors(self, row, message):
+        # The rows are checked one by one only when the one scan in the
+        # IntMatrix constructor fails, or a row is not a list.
         side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
                 "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
                 "embedding_free": [[0, 1], row]}
@@ -366,6 +376,58 @@ class TestParseProblem:
                 "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
                 "embedding_free": [[0, Level.ONE], [1, 0]]}
         assert model.parse_side(side, "M").embedding_free == IntMatrix.from_rows([[0, 1], [1, 0]])
+
+    SQUARE = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
+              "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1}
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1, 0), [0, 1]], "M.embedding_free: expected a list of integers, got (1, 0)"),
+            ([[0, [1]], [1, 0]], "M.embedding_free: expected an integer, got [1]"),
+            ({"0": [0, 1]}, "M.embedding_free: expected an array of rows"),
+        ],
+        ids=["tuple_first_row", "nested", "object"],
+    )
+    def test_embedding_rows_errors(self, rows, message):
+        with pytest.raises(DocumentError) as caught:
+            model.parse_side(dict(self.SQUARE, embedding_free=rows), "M")
+        assert caught.value.messages == [message]
+
+    def test_list_subclass_rows_accepted(self):
+        class Row(list):
+            pass
+
+        side = model.parse_side(dict(self.SQUARE, embedding_free=[Row([0, 1]), [1, 0]]), "M")
+        assert side.embedding_free == IntMatrix.from_rows([[0, 1], [1, 0]])
+
+    def test_omitted_or_null_rows(self):
+        for side in (self.SQUARE, dict(self.SQUARE, embedding_free=None)):
+            assert model.parse_side(side, "M").embedding_free == IntMatrix.zeros(2, 2)
+            with pytest.raises(DocumentError) as caught:
+                model.parse_side(dict(side, b1=-1), "M")
+            assert caught.value.messages == [
+                "M.embedding_free: matrix dimensions must be nonnegative (b1 = -1, genus = 1)"
+            ]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gluing": {"a": [1, 1.5]}}, "gluing.a: expected an integer, got 1.5"),
+            ({"gluing": {"a": (1, 0)}}, "gluing.a: expected a list of integers, got (1, 0)"),
+            ({"gluing": {"a": [1, True]}, "t": [0.5]}, "gluing.a: expected an integer, got True"),
+            ({"t": [True]}, "t: expected an integer, got True"),
+            ({"t": (0,)}, "t: expected a list of integers, got (0,)"),
+            ({"t": "0"}, "t: expected a list of integers, got '0'"),
+        ],
+        ids=["a_float", "a_tuple", "a_before_t", "t_bool", "t_tuple", "t_str"],
+    )
+    def test_constructor_check_keeps_document_messages(self, fields, message):
+        # gluing.a and t are checked by the GluingClass and FibreSumProblem
+        # constructors; a failure still names the document's field.
+        with pytest.raises(DocumentError) as caught:
+            parse_problem(dict(CATALOG_DOC, **fields))
+        assert caught.value.messages == [message]
 
     def test_invariant_violation_rejected(self):
         doc = dict(CATALOG_DOC)
@@ -447,6 +509,23 @@ class TestHandBuiltIntegers:
     def test_non_integer_rejected(self, build, bad):
         with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {bad!r}")):
             build(bad)
+
+    @pytest.mark.parametrize("bad", [2.0, False], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda x: IntMatrix(1, 2, (1, x)), "matrix entries"),
+            (lambda x: IntMatrix.from_rows([[1, 0], [0, x]]), "matrix entries"),
+            (lambda x: dataclasses.replace(E2, K_dot_B=x), "side numbers"),
+            (lambda x: dataclasses.replace(E2, embedding_torsion=((2, (x, 0)),)), "embedding_torsion rows"),
+            (lambda x: GluingClass((1, x)), "gluing vector entries"),
+        ],
+        ids=["IntMatrix", "from_rows", "ManifoldSide", "ManifoldSide torsion row", "GluingClass"],
+    )
+    def test_own_text(self, build, what, bad):
+        with pytest.raises(ValueError) as caught:
+            build(bad)
+        assert str(caught.value) == f"{what}: expected an integer, got {bad!r}"
 
     @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     def test_int_subclass_accepted(self, build):
