@@ -12,7 +12,6 @@ from fibresum import (
     FibreSumProblem,
     GluingClass,
     analyse,
-    classify_form,
     elliptic_surface,
     sum_forms,
 )
@@ -39,7 +38,7 @@ sf = sum_forms(analysis)
 cc = sf.canonical_class
 print(f"  canonical class: sigma coefficient {cc.sigma_coeff}, rim coefficients {cc.r_coeffs}")
 print(f"  divisibility of K_X: {sf.divisibility.value} (E(4) has K = 2*fibre)")
-fc = classify_form(sf.block_form)
+fc = sf.form_class
 print(f"  intersection form: {fc.parity} {fc.decomposition}")
 
 print()
@@ -51,7 +50,7 @@ print(f"  split-class basis: {[c.label() for c in analysis.split_classes]}")
 print(f"  rim coefficients of K_X: {cc.r_coeffs} (symmetric basis: t = {cc.t_coeffs}, "
       f"eta = {cc.eta}, eta' = {cc.eta_prime})")
 print(f"  divisibility of K_X: {sf.divisibility.value} -> K_X indivisible")
-fc = classify_form(sf.block_form)
+fc = sf.form_class
 print(f"  intersection form becomes {fc.parity}: {fc.decomposition}")
 print("  The sum still has the Betti numbers of E(4) but is not spin,")
 print("  so it is not even homeomorphic to E(4).")

@@ -26,7 +26,6 @@ from .forms import (
     FormClass,
     ScopeError,
     SumForms,
-    classify_form,
     embed_h2,
     sum_forms,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SumAnalysis",
     "SumForms",
     "analyse",
-    "classify_form",
     "cokernel_presentation",
     "complement_invariants",
     "direct_sum",

@@ -6,8 +6,8 @@ Subcommands: ``compute`` runs the full pipeline on a problem document,
 invariants, kernel and cokernel of a matrix.  Documents are JSON
 following the schema of the model module.
 
-Exit codes: 0 success, 1 I/O failure, 2 parse/validation failure,
-3 engine assertion failure.
+Exit codes: 0 success, 1 I/O failure, 2 a document or problem broke a
+rule (``DocumentError``) or an argument is bad, 3 engine assertion failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 # What each failure class is caught as, in ``main`` and per ``batch`` item.
-INVALID_ERRORS = (DocumentError, forms.InputDataError)
+INVALID_ERRORS = (DocumentError,)
 INTERNAL_ERRORS = (AssertionError,)
 
 T_DEFAULT_WARNING = (
@@ -102,11 +102,7 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
         report["forms"] = {"skipped": ["disabled by --no-forms"]}
     else:
         sf = forms.sum_forms(analysis)
-        cc, bf, k_sq = sf.canonical_class, sf.block_form, sf.k_squared
-        try:
-            form_class = dict(vars(forms.classify_form(bf)))
-        except forms.UnknownParityError as exc:
-            form_class = {"unavailable": str(exc)}
+        cc, bf, fc, k_sq = sf.canonical_class, sf.block_form, sf.form_class, sf.k_squared
         report["forms"] = {
             "block_form": {
                 "pm": dict(vars(bf.pm_block)),
@@ -116,7 +112,7 @@ def build_report(problem: FibreSumProblem, include_forms: bool = True) -> dict[s
                 "rank": bf.rank,
                 "signature": bf.signature,
             },
-            "form_class": form_class,
+            "form_class": {"unavailable": fc} if isinstance(fc, str) else dict(vars(fc)),
             "canonical_class": {
                 "r_coeffs": list(cc.r_coeffs),
                 "sigma_coeff": cc.sigma_coeff,

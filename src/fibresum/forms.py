@@ -7,10 +7,10 @@ those hypotheses the second cohomology of the sum splits into the two
 perpendicular blocks, d
 hyperbolic-like pair blocks spanned by a split class and a rim torus, and
 the nucleus spanned by the sewn dual surface and the surface push-off.
-:func:`sum_forms` builds that block sum and the canonical class in one
-pass.  :class:`BlockForm` holds the numbers of the block sum; every
-identity the module states comes back as a :class:`CheckLine` and raises
-nothing, since each holds for every integer input.
+:func:`sum_forms` builds that block sum, its class and the canonical
+class in one pass.  :class:`BlockForm` holds the numbers of the block
+sum; every identity the module states comes back as a :class:`CheckLine`
+and raises nothing, since each holds for every integer input.
 
 The canonical class is stored as its coefficient vector in this basis,
 in both the push-off basis (coefficients r_i, sigma on Sigma_X) and the
@@ -27,8 +27,6 @@ from .engine import SumAnalysis
 
 __all__ = [
     "ScopeError",
-    "InputDataError",
-    "UnknownParityError",
     "CanonicalClass",
     "PBlock",
     "BlockForm",
@@ -38,7 +36,6 @@ __all__ = [
     "SumForms",
     "EmbeddedClass",
     "sum_forms",
-    "classify_form",
     "embed_h2",
 ]
 
@@ -49,14 +46,6 @@ class ScopeError(Exception):
     def __init__(self, violations: Sequence[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class InputDataError(ValueError):
-    """Numerically inconsistent input discovered during assembly."""
-
-
-class UnknownParityError(InputDataError):
-    """A side's p_parity is unknown, so the form cannot be classified."""
 
 
 @dataclass(frozen=True)
@@ -162,11 +151,13 @@ class CheckLine:
 @dataclass(frozen=True)
 class SumForms:
     """What :func:`sum_forms` finds for one in-scope sum: the canonical
-    class, the block form, the divisibility of the canonical class, its
-    square next to the closed formula, and its Ionel-Parker pairings."""
+    class, the block form and its class (or the text saying why the class
+    is unavailable), the divisibility of the canonical class, its square
+    next to the closed formula, and its Ionel-Parker pairings."""
 
     canonical_class: CanonicalClass
     block_form: BlockForm
+    form_class: FormClass | str
     divisibility: Divisibility
     k_squared: CheckLine
     ionel_parker: tuple[CheckLine, ...]
@@ -191,12 +182,22 @@ def _require_scope(analysis: SumAnalysis) -> None:
 
 
 def sum_forms(analysis: SumAnalysis) -> SumForms:
-    """The canonical class, block form, divisibility and check lines of an
-    in-scope sum, each computed once from b = 2g - 2, eta, eta' and
-    B_X^2 = B_M^2 + B_N^2.
+    """The canonical class, block form and its class, divisibility and
+    check lines of an in-scope sum, each computed once from b = 2g - 2,
+    eta, eta' and B_X^2 = B_M^2 + B_N^2.
 
     The characteristic property of the canonical class forces the parity
     of each pair block: S_i^2 = K.S_i = r_i (mod 2).
+
+    A sum that passed ``analyse``'s gate has an indefinite block form with
+    rank + signature even and, when the form is even, signature = 0
+    (mod 8), so its class is known whenever both parities are:
+    - b2 + sigma = 2 b2+ on each side, so the form's rank + signature is
+      2 (b2+(M) + b2+(N) - 1 + d), even;
+    - ``validate_side`` gives each side b2+, b2- >= 1, so the form has
+      b2+ = b2+(M) + b2+(N) - 1 + d >= 1 + d, and likewise b2-;
+    - an even form needs both P blocks even, which ``validate_side``
+      allows only with sigma = 0 (mod 8), so sigma(X) = 0 (mod 8).
     """
     _require_scope(analysis)
     problem = analysis.problem
@@ -220,16 +221,18 @@ def sum_forms(analysis: SumAnalysis) -> SumForms:
         eta=eta,
         eta_prime=eta_prime,
     )
+    bf = BlockForm(
+        pm_block=PBlock(rank=M.b2 - 2, signature=M.signature, parity=M.p_parity),
+        pn_block=PBlock(rank=N.b2 - 2, signature=N.signature, parity=N.p_parity),
+        pair_s_sq_parities=tuple(ri % 2 for ri in cc.r_coeffs),
+        nucleus_b_sq=b_sq,
+    )
     # Only known perpendicular divisibilities join the gcd; gcd(0, x) = x.
     kbar_divs = [div for div in (cc.kbar_m_div, cc.kbar_n_div) if div is not None]
     return SumForms(
         canonical_class=cc,
-        block_form=BlockForm(
-            pm_block=PBlock(rank=M.b2 - 2, signature=M.signature, parity=M.p_parity),
-            pn_block=PBlock(rank=N.b2 - 2, signature=N.signature, parity=N.p_parity),
-            pair_s_sq_parities=tuple(ri % 2 for ri in cc.r_coeffs),
-            nucleus_b_sq=b_sq,
-        ),
+        block_form=bf,
+        form_class=_classify(bf),
         divisibility=Divisibility(math.gcd(b, cc.sigma_coeff, *cc.r_coeffs, *kbar_divs), len(kbar_divs) == 2),
         # Rim tori have square zero and pair off only against split classes,
         # whose coefficients vanish, so neither adds to K_X^2.
@@ -246,50 +249,31 @@ def sum_forms(analysis: SumAnalysis) -> SumForms:
     )
 
 
-def classify_form(bf: BlockForm) -> FormClass:
-    """Unimodular classification of the assembled form.
+def _classify(bf: BlockForm) -> FormClass | str:
+    """The unimodular class of a block form that :func:`sum_forms` built,
+    or the text saying why it is unavailable.
 
-    Indefinite forms are classified by rank, signature and parity: odd
-    ones are diagonal, even ones split into hyperbolic planes and copies
-    of the rank-8 even definite form.  Definite forms are refused.
+    Indefinite forms are classified by rank, signature and parity (Serre,
+    *A Course in Arithmetic*, Ch. V): odd ones are diagonal, even ones
+    split into hyperbolic planes and copies of the rank-8 even definite form.
     """
     for block, label in ((bf.pm_block, "M"), (bf.pn_block, "N")):
         if block.parity == "unknown":
-            raise UnknownParityError(
-                f"p_parity of side {label} is unknown; classification needs it"
-            )
+            return f"p_parity of side {label} is unknown; classification needs it"
+    rank, signature = bf.rank, bf.signature
+    b2_plus = (rank + signature) // 2
     even = (
         bf.pm_block.parity == "even"
         and bf.pn_block.parity == "even"
         and not any(bf.pair_s_sq_parities)
         and bf.nucleus_b_sq % 2 == 0
     )
-    rank, signature = bf.rank, bf.signature
-    if (rank + signature) % 2 != 0 or abs(signature) > rank:
-        raise InputDataError(f"impossible rank/signature pair ({rank}, {signature})")
-    b2_plus = (rank + signature) // 2
-    b2_minus = (rank - signature) // 2
-
-    if b2_plus == 0 or b2_minus == 0:
-        text = "definite: classification out of scope"
-        return FormClass(rank, signature, "even" if even else "odd", text)
-
     if not even:
-        return FormClass(rank, signature, "odd", f"{b2_plus}<+1> + {b2_minus}<-1>")
-
-    if signature % 8 != 0:
-        raise InputDataError(
-            f"even form with signature {signature} not divisible by 8: inconsistent input"
-        )
-    e8_count = abs(signature) // 8
-    e8_sign = "-1" if signature < 0 else "+1"
-    h_count = b2_plus if signature <= 0 else b2_minus
-    bits: list[str] = []
-    if h_count:
-        bits.append(f"{h_count}H")
-    if e8_count:
-        bits.append(f"{e8_count}E8({e8_sign})")
-    return FormClass(rank, signature, "even", " + ".join(bits) if bits else "0")
+        return FormClass(rank, signature, "odd", f"{b2_plus}<+1> + {rank - b2_plus}<-1>")
+    decomposition = f"{min(b2_plus, rank - b2_plus)}H"
+    if signature:
+        decomposition += f" + {abs(signature) // 8}E8({'-1' if signature < 0 else '+1'})"
+    return FormClass(rank, signature, "even", decomposition)
 
 
 def embed_h2(

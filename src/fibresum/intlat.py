@@ -88,7 +88,8 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        # A negative dimension, however large, reaches the constructor's check.
+        return cls(rows, cols, (0,) * (max(rows, 0) * max(cols, 0)))
 
     @classmethod
     def vstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":

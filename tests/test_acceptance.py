@@ -14,7 +14,6 @@ from fibresum import intlat, model
 from fibresum import (
     AbGroup,
     analyse,
-    classify_form,
     sum_forms,
 )
 from helpers import (
@@ -114,14 +113,14 @@ def test_criterion_6_spin_divisibility_dichotomy():
         twisted = elliptic_problem(2, 2, a=(1, 0))
         sf = sum_forms(analyse(twisted))
         assert sf.divisibility.value == 1
-        fc = classify_form(sf.block_form)
+        fc = sf.form_class
         assert fc.parity == "odd"
         assert fc.decomposition == "7<+1> + 39<-1>"
 
         untwisted = elliptic_problem(2, 2, a=(0, 0))
         sf = sum_forms(analyse(untwisted))
         assert sf.divisibility.value == 2
-        fc = classify_form(sf.block_form)
+        fc = sf.form_class
         assert fc.parity == "even"
         assert fc.decomposition == "7H + 4E8(-1)"
 

@@ -747,3 +747,71 @@ class TestDumpStructured:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             cli.dump_structured(value)
+
+
+HOSTILE = (None, True, False, 1.5, "x", [1, 2], {"x": 1}, 10**30, -(10**30))
+
+
+def value_paths(value, path=()):
+    """The path to every value under ``value``, containers included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from value_paths(child, path + (key,))
+
+
+def mutate_leaf(rng: random.Random, doc):
+    """A copy of ``doc`` with one value replaced by a hostile one, or one
+    dict key deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(value_paths(doc))[1:])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(HOSTILE)
+    return doc
+
+
+class TestExitCodeContract:
+    """Leaf mutations of valid documents exit 0 or 2 with no traceback."""
+
+    PROBLEMS = [
+        K3_SUM,
+        ONE_CURVE_SUM,
+        TORSION_SUM,
+        EVEN_SIGNATURE_18,
+        {"M": model.side_to_dict(model.elliptic_surface(1)), "N": model.side_to_dict(model.elliptic_surface(3)),
+         "gluing": {"a": [1, 0]}, "t": [0, 0]},
+    ]
+    MATRICES = [[[2, 4], [6, 8]], [[1, 0, 0], [0, 2, 0]], [[0]]]
+
+    def run_mutants(self, tmp_path, command, docs, count, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "mutant.json"
+        codes = set()
+        for _ in range(count):
+            doc = mutate_leaf(rng, rng.choice(docs))
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                code = cli.main([command, str(path)], stdout=out, stderr=err)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{command} {doc!r} raised {exc!r}")
+            assert code in (0, 2), (command, doc, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            codes.add(code)
+        return codes
+
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    def test_problem_documents(self, tmp_path, command):
+        assert self.run_mutants(tmp_path, command, self.PROBLEMS, 120, f"contract-{command}") == {0, 2}
+
+    def test_batch(self, tmp_path):
+        batch = [self.PROBLEMS[:3], {"problems": self.PROBLEMS[3:]}]
+        assert self.run_mutants(tmp_path, "batch", batch, 40, "contract-batch") == {0, 2}
+
+    def test_snf(self, tmp_path):
+        assert self.run_mutants(tmp_path, "snf", self.MATRICES, 60, "contract-snf") == {0, 2}

@@ -3,6 +3,7 @@ cross-checks, and the second-cohomology embeddings."""
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -13,13 +14,12 @@ from fibresum import (
     GluingClass,
     IntMatrix,
     ScopeError,
+    FormClass,
     analyse,
-    classify_form,
     elliptic_surface,
     embed_h2,
     sum_forms,
 )
-from fibresum.forms import BlockForm, InputDataError, PBlock
 from helpers import elliptic_problem, make_side, random_scope_problem
 
 
@@ -162,60 +162,94 @@ class TestBlockForm:
         assert bf.pair_s_sq_parities == ()
 
 
+def side_sum(genus, M, N, a=None):
+    """The sum of two sides made by ``make_side`` from ``(b2_plus, b2_minus,
+    p_parity, B_squared)``, glued by ``a`` (zero by default)."""
+    sides = [
+        make_side(name, genus=genus, b2_plus=bp, b2_minus=bm, p_parity=parity, K_dot_B=bsq, B_squared=bsq)
+        for name, (bp, bm, parity, bsq) in (("M", M), ("N", N))
+    ]
+    return FibreSumProblem(M=sides[0], N=sides[1], gluing=GluingClass(a or (0,) * (2 * genus)))
+
+
+# Sides at the edge of validate_side's rules: b2+ = 1 or b2- = 1, and
+# even forms with sigma = +-8.
+BOUNDARY_SIDES = [
+    (1, 1, "even", 0),
+    (1, 1, "odd", -1),
+    (9, 1, "even", 0),
+    (1, 9, "even", -2),
+    (1, 4, "odd", 1),
+    (6, 1, "odd", 0),
+]
+
+
+def assert_classified(analysis):
+    """The class of an in-scope sum exists and is consistent: b2+ and b2-
+    at least 1 + d, rank + signature even, an even form has signature divisible
+    by 8, rank and signature are the Betti numbers', and the decomposition
+    spells a form of that rank and signature."""
+    fc = sum_forms(analysis).form_class
+    assert isinstance(fc, FormClass)
+    assert (fc.rank, fc.signature) == (analysis.betti.b2, analysis.betti.sigma)
+    assert (fc.rank + fc.signature) % 2 == 0
+    b2_plus = (fc.rank + fc.signature) // 2
+    assert min(b2_plus, fc.rank - b2_plus) >= 1 + analysis.d
+    if fc.parity == "odd":
+        assert fc.decomposition == f"{b2_plus}<+1> + {fc.rank - b2_plus}<-1>"
+    else:
+        assert fc.parity == "even" and fc.signature % 8 == 0
+        h, e8, sign = re.fullmatch(r"(\d+)H(?: \+ (\d+)E8\(([+-])1\))?", fc.decomposition).groups()
+        e8_rank = 8 * int(e8 or 0)
+        assert (2 * int(h) + e8_rank, e8_rank if sign == "+" else -e8_rank) == (fc.rank, fc.signature)
+    return fc
+
+
 class TestClassifyForm:
     def test_even_sum(self):
         problem = elliptic_problem(2, 2, a=(0, 0))
-        fc = classify_form(forms_of(problem).block_form)
+        fc = forms_of(problem).form_class
         assert fc.parity == "even"
         assert fc.decomposition == "7H + 4E8(-1)"
 
     def test_odd_sum(self):
         problem = elliptic_problem(2, 2, a=(1, 0))
-        fc = classify_form(forms_of(problem).block_form)
+        fc = forms_of(problem).form_class
         assert fc.parity == "odd"
         assert fc.decomposition == "7<+1> + 39<-1>"
 
     def test_nucleus_only_hyperbolic(self):
-        bf = BlockForm(
-            pm_block=PBlock(0, 0, "even"),
-            pn_block=PBlock(0, 0, "even"),
-            pair_s_sq_parities=(),
-            nucleus_b_sq=-4,
-        )
-        fc = classify_form(bf)
-        assert fc.parity == "even"
-        assert fc.decomposition == "1H"
+        # Two genus-0 sides with b2+ = b2- = 1: only the nucleus is left.
+        fc = assert_classified(analyse(side_sum(0, (1, 1, "even", -2), (1, 1, "even", -2))))
+        assert (fc.rank, fc.parity, fc.decomposition) == (2, "even", "1H")
 
     def test_unknown_parity_rejected(self):
-        problem = elliptic_problem(2, 2, a=(0, 0))
-        problem = FibreSumProblem(
-            M=dataclasses.replace(problem.M, p_parity="unknown"),
-            N=problem.N,
-            gluing=problem.gluing,
-        )
-        bf = forms_of(problem).block_form
-        with pytest.raises(InputDataError, match="p_parity"):
-            classify_form(bf)
-
-    def test_even_form_needs_signature_divisible_by_eight(self):
-        bf = BlockForm(
-            pm_block=PBlock(4, -4, "even"),
-            pn_block=PBlock(2, 0, "even"),
-            pair_s_sq_parities=(),
-            nucleus_b_sq=-2,
-        )
-        with pytest.raises(InputDataError, match="divisible by 8"):
-            classify_form(bf)
+        unknown = dataclasses.replace(elliptic_surface(2), p_parity="unknown")
+        for side in ("M", "N"):
+            problem = dataclasses.replace(elliptic_problem(2, 2), **{side: unknown})
+            assert forms_of(problem).form_class == f"p_parity of side {side} is unknown; classification needs it"
 
     def test_positive_signature_even_form(self):
-        bf = BlockForm(
-            pm_block=PBlock(8, 8, "even"),
-            pn_block=PBlock(0, 0, "even"),
-            pair_s_sq_parities=(),
-            nucleus_b_sq=0,
-        )
-        fc = classify_form(bf)
-        assert fc.decomposition == "1H + 1E8(+1)"
+        fc = assert_classified(analyse(side_sum(0, (9, 1, "even", 0), (1, 1, "even", 0))))
+        assert (fc.rank, fc.signature, fc.decomposition) == (10, 8, "1H + 1E8(+1)")
+
+    def test_random_sums_are_classified(self):
+        rng = random.Random(2828)
+        parities = [assert_classified(analyse(random_scope_problem(rng))).parity for _ in range(150)]
+        assert "even" in parities and "odd" in parities
+
+    def test_boundary_sums_are_classified(self):
+        classes = set()
+        for M in BOUNDARY_SIDES:
+            for N in BOUNDARY_SIDES:
+                for genus, a in ((0, ()), (1, (0, 0)), (1, (1, 0)), (1, (2, 1))):
+                    analysis = analyse(side_sum(genus, M, N, a))
+                    assert analysis.scope_violations == ()
+                    fc = assert_classified(analysis)
+                    classes.add((fc.parity, fc.decomposition))
+        # Both E8 signs, a form with no E8, and odd forms are among them.
+        assert {("even", "1H"), ("even", "1H + 1E8(+1)"), ("even", "1H + 1E8(-1)")} <= classes
+        assert any(parity == "odd" for parity, _ in classes)
 
     NUCLEUS_PARITY = ["M: K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]
 
@@ -237,31 +271,6 @@ class TestClassifyForm:
         with pytest.raises(DocumentError) as caught:
             sum_forms(analyse(problem))
         assert caught.value.messages == self.NUCLEUS_PARITY
-
-    @pytest.mark.parametrize(
-        "pm_block, pair",
-        [(PBlock(2, 1, "odd"), (4, 1)), (PBlock(0, 4, "odd"), (2, 4))],
-        ids=["odd_rank_plus_signature", "signature_above_rank"],
-    )
-    def test_impossible_rank_signature_pair(self, pm_block, pair):
-        # No sum of valid sides reaches this check, so it is fed a
-        # hand-built form: either condition alone must refuse it.
-        bf = BlockForm(pm_block=pm_block, pn_block=PBlock(0, 0, "odd"), pair_s_sq_parities=(), nucleus_b_sq=0)
-        with pytest.raises(InputDataError) as caught:
-            classify_form(bf)
-        assert str(caught.value) == f"impossible rank/signature pair {pair}"
-
-    def test_definite_refused(self):
-        # Negative and positive definite alike.
-        for signature in (-2, 2):
-            bf = BlockForm(
-                pm_block=PBlock(0, signature, "even"),
-                pn_block=PBlock(0, 0, "even"),
-                pair_s_sq_parities=(),
-                nucleus_b_sq=0,
-            )
-            fc = classify_form(bf)
-            assert fc.decomposition == "definite: classification out of scope"
 
 
 class TestDivisibility:

@@ -410,6 +410,12 @@ class TestParseProblem:
                 "M.embedding_free: matrix dimensions must be nonnegative (b1 = -1, genus = 1)"
             ]
 
+    @pytest.mark.parametrize("fields", [{"b1": -(10**30)}, {"genus": -(10**30)}], ids=["b1", "genus"])
+    def test_huge_negative_dimension_refused(self, fields):
+        # The omitted rows would be a tuple too long to index, not an empty one.
+        with pytest.raises(DocumentError, match="matrix dimensions must be nonnegative"):
+            model.parse_side(dict(self.SQUARE, **fields), "M")
+
     @pytest.mark.parametrize(
         "fields, message",
         [

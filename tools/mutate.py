@@ -13,7 +13,9 @@ temporary directory, never into the working tree, and tier-1 runs there
 with ``-x``.  Failing tests kill a mutant, and so does a run that takes
 more than three times as long as the clean run made first, so a mutant
 that loops forever costs seconds, not minutes.  Every survivor is printed
-with its line.  Not part of tier-1.
+with its line.  A target that names no module or no top-level function
+or class of it is refused with exit code 2 before anything runs.  Not
+part of tier-1.
 """
 
 from __future__ import annotations
@@ -95,8 +97,13 @@ def main(argv: list[str] | None = None) -> int:
     drawn = []
     for target in args.targets:
         module, _, scope = target.partition(":")
-        source = (ROOT / "src" / "fibresum" / f"{module}.py").read_text()
-        drawn += [(module, source, site) for site in mutants(ast.parse(source), scope or None)]
+        path = ROOT / "src" / "fibresum" / f"{module}.py"
+        source = path.read_text() if module and path.is_file() else ""
+        tree = ast.parse(source)
+        if not source or scope and scope not in {getattr(node, "name", None) for node in tree.body}:
+            print(f"unknown target {target}")
+            return 2
+        drawn += [(module, source, site) for site in mutants(tree, scope or None)]
     if args.sample:
         drawn = random.Random(args.seed).sample(drawn, min(args.sample, len(drawn)))
     with tempfile.TemporaryDirectory() as tmp:
