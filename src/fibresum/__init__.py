@@ -8,74 +8,18 @@ numbers and first homology of the sum, its rim-tori and split-class
 groups, the block intersection form with its unimodular classification,
 and the canonical class of the symplectic sum, all in exact integer
 arithmetic with full internal cross-validation.
+
+Each public name is declared once, in its module's ``__all__``; the
+package republishes those names and nothing else.
 """
 
-from .abgroups import AbGroup, direct_sum, normal_form
-from .engine import (
-    ComplementInvariants,
-    SplitClass,
-    SumAnalysis,
-    analyse,
-    complement_invariants,
-    phi_action_h1,
-)
-from .forms import (
-    BlockForm,
-    CanonicalClass,
-    Divisibility,
-    FormClass,
-    ScopeError,
-    SumForms,
-    embed_h2,
-    sum_forms,
-)
-from .intlat import IntMatrix, cokernel_presentation, kernel_and_cokernel
-from .model import (
-    BettiNumbers,
-    DocumentError,
-    FibreSumProblem,
-    GluingClass,
-    ManifoldSide,
-    elliptic_surface,
-    parse_problem,
-    problem_to_dict,
-    side_to_dict,
-    validate_problem,
-    validate_side,
-)
+from . import abgroups, engine, forms, intlat, model
+from .abgroups import *
+from .engine import *
+from .forms import *
+from .intlat import *
+from .model import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbGroup",
-    "BettiNumbers",
-    "BlockForm",
-    "CanonicalClass",
-    "ComplementInvariants",
-    "Divisibility",
-    "DocumentError",
-    "FibreSumProblem",
-    "FormClass",
-    "GluingClass",
-    "IntMatrix",
-    "ManifoldSide",
-    "ScopeError",
-    "SplitClass",
-    "SumAnalysis",
-    "SumForms",
-    "analyse",
-    "cokernel_presentation",
-    "complement_invariants",
-    "direct_sum",
-    "elliptic_surface",
-    "embed_h2",
-    "kernel_and_cokernel",
-    "normal_form",
-    "parse_problem",
-    "phi_action_h1",
-    "problem_to_dict",
-    "side_to_dict",
-    "sum_forms",
-    "validate_problem",
-    "validate_side",
-]
+__all__ = sorted(name for module in (abgroups, engine, forms, intlat, model) for name in module.__all__)

@@ -317,13 +317,6 @@ def _write_json(value: Any, indent: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit(payload: dict[str, Any], fmt: str, stream) -> None:
-    if fmt == "text":
-        stream.write(render_text(payload))
-    else:
-        stream.write(dump_structured(payload))
-
-
 def _read_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -360,7 +353,7 @@ def cmd_compute(args, stdout, stderr) -> int:
     if t_override is not None:
         problem = dataclasses.replace(problem, t=t_override)
     report = build_report(problem, include_forms=not args.no_forms)
-    _emit(report, args.format, stdout)
+    stdout.write(render_text(report) if args.format == "text" else dump_structured(report))
     return EXIT_OK
 
 

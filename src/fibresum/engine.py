@@ -128,7 +128,7 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     if violations:
         raise model.DocumentError(violations)
     M, N = problem.M, problem.N
-    stacked = model.stacked_free_embedding(problem)
+    stacked = IntMatrix.vstack([M.embedding_free, N.embedding_free])
     alpha_basis, coker, lifts = intlat.kernel_and_cokernel(stacked)
     for vec in alpha_basis.to_rows():
         if any(stacked.mul_vector(vec)):
@@ -286,6 +286,9 @@ def phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:
     meridians and the meridian reverses sign.  Images are columns: column
     j is the image of basis element j, so gamma_i maps to column i,
     gamma_i + a_i*sigma, and sigma to the last column, -sigma."""
+    as_ints((g,), "genus")
+    if g < 0:
+        raise ValueError(f"genus must be nonnegative, got {g}")
     a = as_ints(a, "gluing vector entries")
     if len(a) != 2 * g:
         raise ValueError(f"expected a vector of length 2g = {2 * g}, got {len(a)}")

@@ -28,13 +28,10 @@ from .engine import SumAnalysis
 __all__ = [
     "ScopeError",
     "CanonicalClass",
-    "PBlock",
     "BlockForm",
     "FormClass",
     "Divisibility",
-    "CheckLine",
     "SumForms",
-    "EmbeddedClass",
     "sum_forms",
     "embed_h2",
 ]

@@ -38,12 +38,7 @@ from typing import Iterable, Sequence
 
 from .abgroups import AbGroup, as_ints
 
-__all__ = [
-    "IntMatrix",
-    "kernel_and_cokernel",
-    "cokernel_presentation",
-    "rank",
-]
+__all__ = ["IntMatrix", "kernel_and_cokernel", "cokernel_presentation"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        as_ints((self.rows, self.cols), "matrix dimensions")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         entries = as_ints(self.entries, "matrix entries")
@@ -89,6 +85,7 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         # A negative dimension, however large, reaches the constructor's check.
+        as_ints((rows, cols), "matrix dimensions")
         return cls(rows, cols, (0,) * (max(rows, 0) * max(cols, 0)))
 
     @classmethod

@@ -15,7 +15,7 @@ documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .abgroups import AbGroup
 from .intlat import IntMatrix, as_ints
@@ -30,7 +30,6 @@ __all__ = [
     "validate_problem",
     "elliptic_surface",
     "parse_problem",
-    "parse_side",
     "side_to_dict",
     "problem_to_dict",
 ]
@@ -222,11 +221,6 @@ def validate_side(side: ManifoldSide) -> list[str]:
     return v
 
 
-def stacked_free_embedding(problem: FibreSumProblem) -> IntMatrix:
-    """The (b1(M)+b1(N)) x 2g matrix of both free-part embeddings."""
-    return IntMatrix.vstack([problem.M.embedding_free, problem.N.embedding_free])
-
-
 def validate_problem(problem: FibreSumProblem) -> list[str]:
     """Side violations plus the cross-side invariants the document states.
 
@@ -284,16 +278,13 @@ _SIDE_REQUIRED = ("b1", "b2_plus", "b2_minus", "K_squared", "K_dot_B", "B_square
 _SIDE_OPTIONAL = tuple(f.name for f in fields(ManifoldSide) if f.name not in _SIDE_REQUIRED)
 
 
-def _as_int_list(value: Any, where: str, build: Callable[[list], Any] | None = None) -> Any:
-    """A document's integer list under the integer rule of ``as_ints``, or ``build`` of it, whose
-    constructor applies that rule; the list is then scanned again only to name the culprit."""
+def _as_int_list(value: Any, where: str) -> tuple[int, ...]:
+    """A document's integer list under the integer rule of ``as_ints``."""
     if not isinstance(value, list):
         raise DocumentError([f"{where}: expected a list of integers, got {value!r}"])
     try:
-        return as_ints(value, where) if build is None else build(value)
+        return as_ints(value, where)
     except ValueError as exc:
-        if build is not None:
-            _as_int_list(value, where)
         raise DocumentError([str(exc)]) from exc
 
 
@@ -415,11 +406,11 @@ def parse_problem(document: Any) -> FibreSumProblem:
     gluing_doc = document["gluing"]
     if not isinstance(gluing_doc, dict) or set(gluing_doc) != {"a"}:
         raise DocumentError(["gluing: expected an object with the single field 'a'"])
-    gluing = _as_int_list(gluing_doc["a"], "gluing.a", GluingClass)
+    gluing = GluingClass(_as_int_list(gluing_doc["a"], "gluing.a"))
 
     if (t_doc := document.get("t")) is None:
         return FibreSumProblem(side_m, side_n, gluing)
-    return _as_int_list(t_doc, "t", lambda t: FibreSumProblem(side_m, side_n, gluing, t))
+    return FibreSumProblem(side_m, side_n, gluing, _as_int_list(t_doc, "t"))
 
 
 def side_to_dict(side: ManifoldSide) -> dict[str, Any]:

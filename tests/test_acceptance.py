@@ -10,9 +10,10 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 
-from fibresum import intlat, model
+from fibresum import intlat
 from fibresum import (
     AbGroup,
+    IntMatrix,
     analyse,
     sum_forms,
 )
@@ -151,7 +152,7 @@ def test_criterion_9_transpose_oracle():
         problems = randomized_suite() + tuple(random_problem_any(rng) for _ in range(100))
         for problem in problems:
             analysis = analyse(problem)
-            stacked = model.stacked_free_embedding(problem)
+            stacked = IntMatrix.vstack([problem.M.embedding_free, problem.N.embedding_free])
             transposed = transpose(stacked)
             rim_tori = intlat.cokernel_presentation(transposed)
             assert rim_tori == analysis.rim_tori

@@ -544,6 +544,10 @@ class TestPhiAction:
         with pytest.raises(ValueError, match=r"^expected a vector of length 2g = 4, got 3$"):
             phi_action_h1(2, (1, 2, 3))
 
+    def test_negative_genus_refused(self):
+        with pytest.raises(ValueError, match=r"^genus must be nonnegative, got -1$"):
+            phi_action_h1(-1, ())
+
 
 class TestComplementInvariants:
     def test_elliptic_fibre(self):

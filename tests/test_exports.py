@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and README's "Library API" section names every one of them."""
+no two modules export the same name, and README's "Library API" section
+names every one of them."""
 
 import importlib
 import pkgutil
@@ -15,6 +16,10 @@ def test_star_import():
     namespace: dict = {}
     exec("from fibresum import *", namespace)
     assert set(fibresum.__all__) <= set(namespace)
+
+
+def test_each_name_exported_by_one_module():
+    assert sorted(set(fibresum.__all__)) == fibresum.__all__
 
 
 @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(fibresum.__path__)])

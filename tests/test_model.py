@@ -44,6 +44,12 @@ class TestValidateSide:
         assert validate_side(make_side("S", genus=1, k=0)) == ["k must be a positive integer"]
         assert validate_side(make_side("S", genus=1, k=1)) == []
 
+    def test_negative_b1_and_genus_flagged(self):
+        # -1 is the first value past each rule's boundary.
+        side = make_side("S", genus=1)
+        assert "b1 must be nonnegative" in validate_side(dataclasses.replace(side, b1=-1))
+        assert "genus must be nonnegative" in validate_side(dataclasses.replace(side, genus=-1))
+
     def test_b2_plus_zero_flagged(self):
         # b2 = b2_minus >= 2 passes the b2 rule, so only the nucleus rule
         # sees b2_plus = 0.
@@ -429,8 +435,8 @@ class TestParseProblem:
         ids=["a_float", "a_tuple", "a_before_t", "t_bool", "t_tuple", "t_str"],
     )
     def test_constructor_check_keeps_document_messages(self, fields, message):
-        # gluing.a and t are checked by the GluingClass and FibreSumProblem
-        # constructors; a failure still names the document's field.
+        # parse_problem checks gluing.a, then t, as document lists, so a
+        # failure names the document's field before any constructor runs.
         with pytest.raises(DocumentError) as caught:
             parse_problem(dict(CATALOG_DOC, **fields))
         assert caught.value.messages == [message]
@@ -498,6 +504,10 @@ HAND_BUILT = {
     "GluingClass.a": lambda x: GluingClass((x, 0)),
     "FibreSumProblem.t": lambda x: FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0)), t=(x, 0)),
     "phi_action_h1": lambda x: phi_action_h1(1, (x, 0)),
+    "phi_action_h1 genus": lambda x: phi_action_h1(x, (0,) * 4),
+    "IntMatrix rows": lambda x: IntMatrix(x, 1, (0, 0)),
+    "IntMatrix cols": lambda x: IntMatrix(1, x, (0, 0)),
+    "IntMatrix.zeros": lambda x: IntMatrix.zeros(x, 2),
     "AbGroup free rank": lambda x: AbGroup(x),
     "AbGroup torsion": lambda x: AbGroup(0, (x,)),
     "normal_form factors": lambda x: normal_form(0, [x]),
