@@ -16,7 +16,6 @@ from fibresum import (
     complement_invariants,
     embed_h2,
     sum_forms,
-    validate_problem,
 )
 
 
@@ -52,8 +51,8 @@ m_side = side(
     K_dot_B=2,
 )
 n_side = side("N", b1=0)
+# The constructors refuse any side or problem that breaks a rule.
 problem = FibreSumProblem(M=m_side, N=n_side, gluing=GluingClass((0, 0, 3, -1)))
-assert validate_problem(problem) == []
 
 analysis = analyse(problem)
 print(f"  kernel of the stacked embedding: d = {analysis.d}, basis {analysis.alpha_basis.to_rows()}")

@@ -119,14 +119,9 @@ def analyse(problem: FibreSumProblem) -> SumAnalysis:
     again, and R is reduced only when it is not diagonal.  The forms
     scope verdict is evaluated here too, once per sum.
 
-    Every problem, parsed or built by hand, passes this one gate: a
-    ``model.DocumentError`` lists every rule of ``model.validate_problem``
-    that it breaks before anything is computed, or else a supplied
-    t-vector whose length is not d.
+    Every other rule held when the problem was built, but the length of
+    t needs d: a ``model.DocumentError`` refuses a t-vector that is not d long.
     """
-    violations = model.validate_problem(problem)
-    if violations:
-        raise model.DocumentError(violations)
     M, N = problem.M, problem.N
     stacked = IntMatrix.vstack([M.embedding_free, N.embedding_free])
     alpha_basis, coker, lifts = intlat.kernel_and_cokernel(stacked)
@@ -306,13 +301,7 @@ def complement_invariants(side: ManifoldSide) -> ComplementInvariants:
     complement (rank 2g - rank of the embedding) on top of the quotient
     of H^2 by the surface class, and its torsion is that of H_1 by
     universal coefficients.
-
-    Like :func:`analyse`, it first raises a ``model.DocumentError`` listing
-    every rule of ``model.validate_side`` that the side breaks.
     """
-    violations = model.validate_side(side)
-    if violations:
-        raise model.DocumentError(violations)
     h1 = abgroups.normal_form(side.b1, side.h1_torsion + (side.k,))
     ker_i_rank = 2 * side.genus - intlat.rank(side.embedding_free)
     h2_rank = (side.b2 - 1) + ker_i_rank

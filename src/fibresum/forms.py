@@ -186,15 +186,15 @@ def sum_forms(analysis: SumAnalysis) -> SumForms:
     The characteristic property of the canonical class forces the parity
     of each pair block: S_i^2 = K.S_i = r_i (mod 2).
 
-    A sum that passed ``analyse``'s gate has an indefinite block form with
-    rank + signature even and, when the form is even, signature = 0
-    (mod 8), so its class is known whenever both parities are:
+    Every sum has an indefinite block form with rank + signature even
+    and, when the form is even, signature = 0 (mod 8), so its class is
+    known whenever both parities are:
     - b2 + sigma = 2 b2+ on each side, so the form's rank + signature is
       2 (b2+(M) + b2+(N) - 1 + d), even;
-    - ``validate_side`` gives each side b2+, b2- >= 1, so the form has
+    - a side is built only with b2+, b2- >= 1, so the form has
       b2+ = b2+(M) + b2+(N) - 1 + d >= 1 + d, and likewise b2-;
-    - an even form needs both P blocks even, which ``validate_side``
-      allows only with sigma = 0 (mod 8), so sigma(X) = 0 (mod 8).
+    - an even form needs both P blocks even, which a side may have only
+      with sigma = 0 (mod 8), so sigma(X) = 0 (mod 8).
     """
     _require_scope(analysis)
     problem = analysis.problem

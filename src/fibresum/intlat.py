@@ -41,6 +41,12 @@ from .abgroups import AbGroup, as_ints
 __all__ = ["IntMatrix", "kernel_and_cokernel", "cokernel_presentation"]
 
 
+def _check_dimensions(rows: int, cols: int) -> None:
+    as_ints((rows, cols), "matrix dimensions")
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable ``rows x cols`` integer matrix, stored row-major.
@@ -54,9 +60,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        as_ints((self.rows, self.cols), "matrix dimensions")
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_dimensions(self.rows, self.cols)
         entries = as_ints(self.entries, "matrix entries")
         if len(entries) != self.rows * self.cols:
             raise ValueError(
@@ -83,10 +87,16 @@ class IntMatrix:
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
+    def _unchecked(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """A matrix from entries that passed the integer rule already; they are not scanned."""
+        matrix = object.__new__(cls)
+        vars(matrix).update(rows=rows, cols=cols, entries=entries)
+        return matrix
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        # A negative dimension, however large, reaches the constructor's check.
-        as_ints((rows, cols), "matrix dimensions")
-        return cls(rows, cols, (0,) * (max(rows, 0) * max(cols, 0)))
+        _check_dimensions(rows, cols)
+        return cls._unchecked(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def vstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -96,10 +106,7 @@ class IntMatrix:
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("column mismatch in vstack")
-        stacked = object.__new__(cls)
-        entries = sum((b.entries for b in blocks), ())
-        vars(stacked).update(rows=sum(b.rows for b in blocks), cols=cols, entries=entries)
-        return stacked
+        return cls._unchecked(sum(b.rows for b in blocks), cols, sum((b.entries for b in blocks), ()))
 
     # -- access ------------------------------------------------------------
 

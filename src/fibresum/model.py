@@ -15,6 +15,7 @@ documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Any, Sequence
 
 from .abgroups import AbGroup
@@ -26,8 +27,6 @@ __all__ = [
     "FibreSumProblem",
     "BettiNumbers",
     "DocumentError",
-    "validate_side",
-    "validate_problem",
     "elliptic_surface",
     "parse_problem",
     "side_to_dict",
@@ -42,8 +41,8 @@ MAX_IMPLIED_CELLS = 1 << 20
 Omitting ``embedding_free`` or ``embedding_torsion`` makes :func:`parse_side`
 allocate zero rows before any rule bounds b1, the genus or the torsion
 count.  The genus alone implies a 2g x 2g transform in the kernel
-computation and a 2g x 2g basis in the report, so :func:`validate_side`
-bounds (2g)^2 by the same number (g <= 512).  Without both bounds a short
+computation and a 2g x 2g basis in the report, so a side's rules bound
+(2g)^2 by the same number (g <= 512).  Without both bounds a short
 document could ask for more memory than exists."""
 
 
@@ -65,7 +64,8 @@ class ManifoldSide:
     ``embedding_torsion`` one (modulus, row) pair per torsion factor of
     H_1.  ``kbar_divisibility`` is the divisibility of the perpendicular
     part of the canonical class, with 0 meaning the zero class (gcd(0, x)
-    = x semantics) and None meaning unknown.
+    = x semantics) and None meaning unknown.  The constructor refuses a
+    side that breaks a rule of :func:`_side_rules`.
     """
 
     name: str
@@ -90,6 +90,8 @@ class ManifoldSide:
         torsion = tuple((m, as_ints(row, "embedding_torsion rows")) for m, row in self.embedding_torsion)
         as_ints((m for m, _ in torsion), "embedding_torsion moduli")
         object.__setattr__(self, "embedding_torsion", torsion)
+        if violations := _side_rules(self):
+            raise DocumentError(violations)
 
     @property
     def b2(self) -> int:
@@ -124,7 +126,8 @@ class FibreSumProblem:
     the two canonical classes with matched bounding surfaces); ``None``
     means "default to zero", which is only correct under geometric
     hypotheses such as vanishing-cycle disks in cusp neighbourhoods.  The
-    reports carry an explicit warning when the default is used.
+    reports carry an explicit warning when the default is used.  The
+    constructor refuses sides of two genera and an ``a`` not of length 2g.
     """
 
     M: ManifoldSide
@@ -135,6 +138,8 @@ class FibreSumProblem:
     def __post_init__(self) -> None:
         if self.t is not None:
             object.__setattr__(self, "t", as_ints(self.t, "t entries"))
+        if violations := _cross_rules(self.M.genus, self.N.genus, self.gluing.a):
+            raise DocumentError(violations)
 
     @property
     def genus(self) -> int:
@@ -169,7 +174,7 @@ class BettiNumbers:
         return self.b2_plus - self.b2_minus
 
 
-def validate_side(side: ManifoldSide) -> list[str]:
+def _side_rules(side: ManifoldSide) -> list[str]:
     """All violated invariants of one side; empty means valid."""
     v: list[str] = []
     two_g = 2 * side.genus
@@ -221,22 +226,13 @@ def validate_side(side: ManifoldSide) -> list[str]:
     return v
 
 
-def validate_problem(problem: FibreSumProblem) -> list[str]:
-    """Side violations plus the cross-side invariants the document states.
-
-    The length of t is not checked here: it must equal d, the rank of the
-    kernel of the stacked embedding, which :func:`engine.analyse` computes
-    and checks.
-    """
-    v = [f"M: {msg}" for msg in validate_side(problem.M)]
-    v += [f"N: {msg}" for msg in validate_side(problem.N)]
-    if problem.M.genus != problem.N.genus:
-        v.append(f"genus mismatch: M has g={problem.M.genus}, N has g={problem.N.genus}")
-        return v
-    two_g = 2 * problem.genus
-    if len(problem.gluing.a) != two_g:
-        v.append(f"gluing.a must have length 2g = {two_g}, got {len(problem.gluing.a)}")
-    return v
+def _cross_rules(genus_m: int, genus_n: int, a: tuple[int, ...]) -> list[str]:
+    """The invariants that tie the sides and the gluing vector together."""
+    if genus_m != genus_n:
+        return [f"genus mismatch: M has g={genus_m}, N has g={genus_n}"]
+    if len(a) != 2 * genus_m:
+        return [f"gluing.a must have length 2g = {2 * genus_m}, got {len(a)}"]
+    return []
 
 
 def elliptic_surface(n: int) -> ManifoldSide:
@@ -292,8 +288,9 @@ def _as_int(value: Any, where: str) -> int:
     return _as_int_list([value], where)[0]
 
 
-def parse_side(doc: Any, where: str) -> ManifoldSide:
-    """One side from its document; either full data or a catalog reference."""
+def parse_side(doc: Any, where: str) -> ManifoldSide | SimpleNamespace:
+    """The catalog side a reference names, or the fields a document spells
+    out, checked against the schema, the value types and the size caps."""
     if not isinstance(doc, dict):
         raise DocumentError([f"{where}: expected an object, got {doc!r}"])
     if "catalog" in doc:
@@ -373,7 +370,7 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
     if not isinstance(name, str):
         raise DocumentError([f"{where}.name: expected a string"])
 
-    return ManifoldSide(
+    return SimpleNamespace(
         name=name,
         h1_torsion=h1_torsion,
         embedding_free=embedding_free,
@@ -385,12 +382,12 @@ def parse_side(doc: Any, where: str) -> ManifoldSide:
 
 
 def parse_problem(document: Any) -> FibreSumProblem:
-    """A problem from a parsed JSON document, checked against the schema,
-    the value types and the size caps.
+    """A problem from a parsed JSON document.
 
-    Every rule of :func:`validate_problem`, and the length of t, is checked
-    by :func:`engine.analyse`, which hand-built problems pass too.
-    """
+    The first failure of the schema, a value type or a size cap, in M, N,
+    ``gluing`` and t in turn, is raised alone; then one DocumentError
+    lists the rules the sides break, as ``M: `` and ``N: `` messages, and
+    those of the problem."""
     if not isinstance(document, dict):
         raise DocumentError(["top level: expected an object"])
     unknown = set(document) - {"M", "N", "gluing", "t"}
@@ -400,17 +397,23 @@ def parse_problem(document: Any) -> FibreSumProblem:
         if key not in document:
             raise DocumentError([f"top level: missing required field '{key}'"])
 
-    side_m = parse_side(document["M"], "M")
-    side_n = parse_side(document["N"], "N")
+    specs = {key: parse_side(document[key], key) for key in ("M", "N")}
 
     gluing_doc = document["gluing"]
     if not isinstance(gluing_doc, dict) or set(gluing_doc) != {"a"}:
         raise DocumentError(["gluing: expected an object with the single field 'a'"])
-    gluing = GluingClass(_as_int_list(gluing_doc["a"], "gluing.a"))
+    a = _as_int_list(gluing_doc["a"], "gluing.a")
+    t = None if (t_doc := document.get("t")) is None else _as_int_list(t_doc, "t")
 
-    if (t_doc := document.get("t")) is None:
-        return FibreSumProblem(side_m, side_n, gluing)
-    return FibreSumProblem(side_m, side_n, gluing, _as_int_list(t_doc, "t"))
+    sides, messages = [], []
+    for key, spec in specs.items():
+        try:
+            sides.append(spec if isinstance(spec, ManifoldSide) else ManifoldSide(**vars(spec)))
+        except DocumentError as exc:
+            messages += [f"{key}: {msg}" for msg in exc.messages]
+    if messages:
+        raise DocumentError(messages + _cross_rules(specs["M"].genus, specs["N"].genus, a))
+    return FibreSumProblem(*sides, GluingClass(a), t)
 
 
 def side_to_dict(side: ManifoldSide) -> dict[str, Any]:

@@ -12,7 +12,6 @@ import pytest
 
 from fibresum import cli, engine, intlat, model
 from fibresum.intlat import IntMatrix
-from fibresum.model import FibreSumProblem, GluingClass
 from helpers import make_side, random_matrix, random_unimodular, run_python
 
 K3_SUM = {
@@ -221,14 +220,14 @@ class TestCompute:
             code, out, err = run([command, path])
             assert (code, out) == (2, "")
             assert err == f"invalid input: {message}\n"
-        # The same side built by hand is refused by analyse with the same
-        # text, before the classification sees it.
-        side = make_side("P", genus=1, b2_plus=2, b2_minus=4, p_parity="even")
-        problem = FibreSumProblem(M=side, N=model.elliptic_surface(2), gluing=GluingClass((0, 0)))
-        assert model.parse_problem(EVEN_SIGNATURE_18) == problem
+        # parse_problem refuses it with that text; the same side built by
+        # hand is refused by its constructor, without the "M: " prefix.
         with pytest.raises(model.DocumentError) as caught:
-            cli.build_report(problem)
+            model.parse_problem(EVEN_SIGNATURE_18)
         assert caught.value.messages == [message]
+        with pytest.raises(model.DocumentError) as caught:
+            make_side("P", genus=1, b2_plus=2, b2_minus=4, p_parity="even")
+        assert caught.value.messages == [message.removeprefix("M: ")]
 
     def test_alpha_basis_outside_kernel_maps_to_exit_3(self, tmp_path, monkeypatch):
         doc = dict(K3_SUM)

@@ -40,30 +40,36 @@ def identity_embedding_side(name, genus, extra_b1=0):
 
 
 class TestValidationGate:
-    """``analyse`` applies every rule of ``validate_problem`` to problems
-    built by hand, which never pass through ``parse_problem``."""
+    """A problem built by hand, which never passes through
+    ``parse_problem``, cannot break a rule either: its constructor, or
+    that of a side, refuses it with the rule's message before ``analyse``
+    could see it.  A side's messages carry no ``M: `` prefix here."""
 
     E2 = elliptic_surface(2)
 
     @pytest.mark.parametrize(
-        "problem",
+        "build, messages",
         [
             # A side rule; the t-vector is also too long, and the side
-            # rules are reported before d is known.
-            FibreSumProblem(
+            # is refused before d is known.
+            (lambda E2: FibreSumProblem(
                 M=dataclasses.replace(E2, K_squared=1), N=E2, gluing=GluingClass((0, 0)), t=(1, 2, 3)
-            ),
-            FibreSumProblem(M=E2, N=make_side("S", genus=2), gluing=GluingClass((0,) * 4)),
-            FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0, 0))),
+            ), ["K_squared != 2e+3*sigma (needs 0, got 1)"]),
+            (lambda E2: FibreSumProblem(M=E2, N=make_side("S", genus=2), gluing=GluingClass((0,) * 4)),
+             ["genus mismatch: M has g=1, N has g=2"]),
+            (lambda E2: FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0, 0))),
+             ["gluing.a must have length 2g = 2, got 3"]),
+            # At g = 2, 2g differs from 2 // g and from 2 + g.
+            (lambda E2: FibreSumProblem(
+                M=make_side("S", genus=2), N=make_side("S", genus=2), gluing=GluingClass((0, 0))
+            ), ["gluing.a must have length 2g = 4, got 2"]),
         ],
-        ids=["side_rule", "genus_mismatch", "gluing_length"],
+        ids=["side_rule", "genus_mismatch", "gluing_length", "gluing_length_g2"],
     )
-    def test_every_rule_refused(self, problem):
-        violations = model.validate_problem(problem)
-        assert violations
+    def test_every_rule_refused(self, build, messages):
         with pytest.raises(model.DocumentError) as caught:
-            analyse(problem)
-        assert caught.value.messages == violations
+            build(self.E2)
+        assert caught.value.messages == messages
 
 
 class TestKernelData:
@@ -495,6 +501,15 @@ class TestIntegerCheckBudget:
         # vector and the groups built from S.
         assert sum(n for _, n in scans) - entries < 100
 
+    def test_omitted_rows_not_scanned(self, scans):
+        # The zero rows a document omits are built, not read, so no entry
+        # of them passes the integer rule.
+        side = {"name": "S", "b1": 20, "b2_plus": 3, "b2_minus": 2, "K_squared": -63,
+                "K_dot_B": 0, "B_squared": 0, "genus": 10, "k": 1}
+        problem = model.parse_problem({"M": side, "N": side, "gluing": {"a": [0] * 20}})
+        assert not [n for what, n in scans if what == "matrix entries" and n]
+        assert problem.M.embedding_free.to_rows() == [[0] * 20] * 20
+
 
 class TestPhiAction:
     def test_h1_trivial_gluing(self):
@@ -590,29 +605,46 @@ class TestComplementInvariants:
 
 
 class TestComplementGate:
-    """``complement_invariants`` refuses a side that breaks any rule of
-    ``validate_side``, with its messages, one side per kind of rule."""
+    """No side that breaks a rule reaches ``complement_invariants``: the
+    constructor refuses it, with its messages, one side per kind of rule."""
 
     SIDE = make_side("S", genus=1)
+    NUCLEUS = "b2_plus >= 1 and b2_minus >= 1 required (the nucleus block [[B^2,1],[1,0]] has signature zero)"
 
     @pytest.mark.parametrize(
-        "side",
+        "build, messages",
         [
-            dataclasses.replace(SIDE, b1=-1),
-            dataclasses.replace(SIDE, genus=-1),
-            make_side("S", genus=513),
-            make_side("S", genus=1, k=0),
-            make_side("S", genus=1, b2_plus=1, b2_minus=0),
-            make_side("S", genus=1, b2_plus=0, b2_minus=3),
-            dataclasses.replace(SIDE, K_squared=SIDE.K_squared + 1),
-            make_side("S", genus=1, K_dot_B=1),
-            make_side("S", genus=1, h1_torsion=(4, 2)),
-            dataclasses.replace(SIDE, b1=3, K_squared=SIDE.K_squared - 12),
-            dataclasses.replace(SIDE, h1_torsion=(2,)),
-            make_side("S", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0, 0)),)),
-            make_side("S", genus=1, p_parity="mixed"),
-            make_side("S", genus=1, b2_plus=3, p_parity="even"),
-            make_side("S", genus=1, kbar_divisibility=-1),
+            (lambda S: dataclasses.replace(S, b1=-1), [
+                "b1 must be nonnegative",
+                "K_squared != 2e+3*sigma (needs 16, got 12)",
+                "embedding_free must be -1 x 2, got 0 x 2",
+            ]),
+            (lambda S: dataclasses.replace(S, genus=-1),
+             ["genus must be nonnegative", "embedding_free must be 0 x -2, got 0 x 2"]),
+            (lambda S: make_side("S", genus=513), ["genus = 513 implies 1026 x 1026 cells, more than 1048576"]),
+            (lambda S: make_side("S", genus=1, k=0), ["k must be a positive integer"]),
+            (lambda S: make_side("S", genus=1, b2_plus=1, b2_minus=0), [
+                "b2 >= 2 required (the surface and its dual section must exist), got b2 = 1", NUCLEUS,
+            ]),
+            (lambda S: make_side("S", genus=1, b2_plus=0, b2_minus=3), [NUCLEUS]),
+            (lambda S: dataclasses.replace(S, K_squared=S.K_squared + 1),
+             ["K_squared != 2e+3*sigma (needs 12, got 13)"]),
+            (lambda S: make_side("S", genus=1, K_dot_B=1),
+             ["K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]),
+            (lambda S: make_side("S", genus=1, h1_torsion=(4, 2)),
+             ["h1_torsion must be a divisibility chain of factors >= 2, got [4, 2]"]),
+            (lambda S: dataclasses.replace(S, b1=3, K_squared=S.K_squared - 12),
+             ["embedding_free must be 3 x 2, got 0 x 2"]),
+            (lambda S: dataclasses.replace(S, h1_torsion=(2,)),
+             ["embedding_torsion moduli must match h1_torsion exactly (got [] vs [2])"]),
+            (lambda S: make_side("S", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0, 0)),)),
+             ["embedding_torsion[0].row must have length 2, got 3"]),
+            (lambda S: make_side("S", genus=1, p_parity="mixed"),
+             ["p_parity must be one of ('even', 'odd', 'unknown'), got 'mixed'"]),
+            (lambda S: make_side("S", genus=1, b2_plus=3, p_parity="even"),
+             ["an even p_parity needs sigma = 0 (mod 8), got sigma = 1"]),
+            (lambda S: make_side("S", genus=1, kbar_divisibility=-1),
+             ["kbar_divisibility must be nonnegative or unknown"]),
         ],
         ids=[
             "b1", "genus", "genus_cap", "k", "b2", "b2_signs", "K_squared", "characteristic",
@@ -620,12 +652,10 @@ class TestComplementGate:
             "even_signature", "kbar",
         ],
     )
-    def test_every_side_rule_refused(self, side):
-        violations = model.validate_side(side)
-        assert violations
+    def test_every_side_rule_refused(self, build, messages):
         with pytest.raises(model.DocumentError) as caught:
-            complement_invariants(side)
-        assert caught.value.messages == violations
+            build(self.SIDE)
+        assert caught.value.messages == messages
 
 
 class TestStructuralProperties:

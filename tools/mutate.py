@@ -1,6 +1,6 @@
 """Mutation survey: single mutants of named modules, each run against tier-1.
 
-    python tools/mutate.py [--seed N] [--sample K] MODULE[:FUNCTION] ...
+    python tools/mutate.py [--seed N] [--sample K] [--jobs N] MODULE[:FUNCTION] ...
 
 A target is a module of ``src/fibresum`` (``engine``) or one function or
 class in it (``intlat:kernel_and_cokernel``).  Each mutant changes one
@@ -10,12 +10,15 @@ thing in it: ``+``/``-``, ``*``/``//``, ``%``/``//``, a comparison
 ``--sample`` draws that many of the mutants with ``--seed`` (all by
 default).  Each mutant is written into a copy of the repository under a
 temporary directory, never into the working tree, and tier-1 runs there
-with ``-x``.  Failing tests kill a mutant, and so does a run that takes
-more than three times as long as the clean run made first, so a mutant
-that loops forever costs seconds, not minutes.  Every survivor is printed
-with its line.  A target that names no module or no top-level function
-or class of it is refused with exit code 2 before anything runs.  Not
-part of tier-1.
+with ``-x``.  ``--jobs`` runs that many mutants at once, each worker in
+its own copy; it is capped at the CPU count.  Failing tests kill a
+mutant, and so does a run that takes more than three times as long as
+the slowest of the clean runs made first, one per copy at once, so under
+the same load as the mutants.  A mutant that loops forever costs
+seconds, not minutes, and contention does not kill one that survives.
+Every survivor is printed with its line.  A target that names no module
+or no top-level function or class of it, or ``--jobs`` below 1, is
+refused with exit code 2 before anything runs.  Not part of tier-1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,7 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("targets", nargs="+", metavar="MODULE[:FUNCTION]")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=0, help="mutants to draw (0: all)")
+    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (at most the CPU count)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}")
+        return 2
+    jobs = min(args.jobs, os.cpu_count() or 1)
     drawn = []
     for target in args.targets:
         module, _, scope = target.partition(":")
@@ -106,26 +116,38 @@ def main(argv: list[str] | None = None) -> int:
         drawn += [(module, source, site) for site in mutants(tree, scope or None)]
     if args.sample:
         drawn = random.Random(args.seed).sample(drawn, min(args.sample, len(drawn)))
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".*", "__pycache__"))
-        start = time.monotonic()
-        if not tier1(copy):
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(jobs) as pool:
+        copies = [Path(tmp) / f"repo{i}" for i in range(jobs)]
+        for copy in copies:
+            shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".*", "__pycache__"))
+
+        def clean_run(copy: Path) -> float | None:
+            start = time.monotonic()
+            return time.monotonic() - start if tier1(copy) else None
+
+        clean = list(pool.map(clean_run, copies))
+        if None in clean:
             print("tier-1 fails without a mutant; nothing to measure")
             return 2
-        clean = time.monotonic() - start
-        limit = 3 * clean
-        print(f"clean tier-1 run took {clean:.1f} s; each mutant gets {limit:.1f} s", flush=True)
-        survivors = []
-        for module, source, site in drawn:
+        limit = 3 * max(clean)
+        print(f"clean tier-1 runs took {max(clean):.1f} s at most; each mutant gets {limit:.1f} s", flush=True)
+        idle, lock = list(copies), threading.Lock()
+
+        def run(item) -> str | None:
+            module, source, site = item
+            with lock:
+                copy = idle.pop()
             path = copy / "src" / "fibresum" / f"{module}.py"
             path.write_text(apply(source, site))
             killed = not tier1(copy, limit)
             path.write_text(source)
             label = f"{module}:{site[3]} {site[4]}    | {source.splitlines()[site[3] - 1].strip()}"
-            print(f"{'killed  ' if killed else 'SURVIVED'} {label}", flush=True)
-            if not killed:
-                survivors.append(label)
+            with lock:
+                idle.append(copy)
+                print(f"{'killed  ' if killed else 'SURVIVED'} {label}", flush=True)
+            return None if killed else label
+
+        survivors = [label for label in pool.map(run, drawn) if label]
     print(f"\n{len(drawn) - len(survivors)} killed, {len(survivors)} survived of {len(drawn)}")
     for label in survivors:
         print(f"  {label}")
