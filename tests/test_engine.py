@@ -605,8 +605,10 @@ class TestComplementInvariants:
 
 
 class TestComplementGate:
-    """No side that breaks a rule reaches ``complement_invariants``: the
-    constructor refuses it, with its messages, one side per kind of rule."""
+    """A call of ``complement_invariants`` on a side that breaks a rule is
+    refused with the rule's messages, one side per kind of rule.  The
+    refusal now comes from the side's constructor, before the call runs,
+    so no such side reaches the function."""
 
     SIDE = make_side("S", genus=1)
     NUCLEUS = "b2_plus >= 1 and b2_minus >= 1 required (the nucleus block [[B^2,1],[1,0]] has signature zero)"
@@ -654,7 +656,7 @@ class TestComplementGate:
     )
     def test_every_side_rule_refused(self, build, messages):
         with pytest.raises(model.DocumentError) as caught:
-            build(self.SIDE)
+            complement_invariants(build(self.SIDE))
         assert caught.value.messages == messages
 
 

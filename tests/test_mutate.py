@@ -1,6 +1,6 @@
-"""The mutation tool refuses a target it cannot find, or ``--jobs`` below
-1, before it copies the repository or starts a tier-1 run, and gives each
-of its workers a copy of its own."""
+"""The mutation tool refuses a target it cannot find before it copies the
+repository or starts a tier-1 run, and gives each of its workers, one
+per CPU, a copy of its own."""
 
 import importlib.util
 from pathlib import Path
@@ -25,16 +25,6 @@ def test_unknown_target_exits_2(target, monkeypatch, capsys):
     assert capsys.readouterr().out == f"unknown target {target}\n"
 
 
-def test_jobs_below_one_exits_2(monkeypatch, capsys):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a tier-1 run or copy was started")
-
-    monkeypatch.setattr(mutate, "tier1", no_run)
-    monkeypatch.setattr(mutate.shutil, "copytree", no_run)
-    assert mutate.main(["--jobs", "0", "forms:sum_forms"]) == 2
-    assert capsys.readouterr().out == "--jobs must be at least 1, got 0\n"
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_each_worker_has_its_own_copy(monkeypatch, capsys, cpus):
     # No tier-1 run is started: a stand-in records which copy each run
@@ -48,11 +38,11 @@ def test_each_worker_has_its_own_copy(monkeypatch, capsys, cpus):
 
     monkeypatch.setattr(mutate, "tier1", fake_tier1)
     monkeypatch.setattr(mutate.os, "cpu_count", lambda: cpus)
-    assert mutate.main(["--jobs", "2", "abgroups:direct_sum"]) == 0
+    assert mutate.main(["abgroups:direct_sum"]) == 0
     clean = [copy for copy, timeout, _ in runs if timeout is None]
     mutant_runs = [(copy, text) for copy, timeout, text in runs if timeout is not None]
-    # One clean run per copy, as many copies as the CPU count allows, and
-    # every mutant run in one of those copies.
+    # One clean run per copy, one copy per CPU, and every mutant run in
+    # one of those copies.
     assert len(clean) == len(set(clean)) == cpus
     assert {copy for copy, _ in mutant_runs} <= set(clean)
     original = (mutate.ROOT / "src" / "fibresum" / "abgroups.py").read_text()

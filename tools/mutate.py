@@ -1,6 +1,6 @@
 """Mutation survey: single mutants of named modules, each run against tier-1.
 
-    python tools/mutate.py [--seed N] [--sample K] [--jobs N] MODULE[:FUNCTION] ...
+    python tools/mutate.py [--seed N] [--sample K] MODULE[:FUNCTION] ...
 
 A target is a module of ``src/fibresum`` (``engine``) or one function or
 class in it (``intlat:kernel_and_cokernel``).  Each mutant changes one
@@ -10,15 +10,15 @@ thing in it: ``+``/``-``, ``*``/``//``, ``%``/``//``, a comparison
 ``--sample`` draws that many of the mutants with ``--seed`` (all by
 default).  Each mutant is written into a copy of the repository under a
 temporary directory, never into the working tree, and tier-1 runs there
-with ``-x``.  ``--jobs`` runs that many mutants at once, each worker in
-its own copy; it is capped at the CPU count.  Failing tests kill a
-mutant, and so does a run that takes more than three times as long as
-the slowest of the clean runs made first, one per copy at once, so under
-the same load as the mutants.  A mutant that loops forever costs
-seconds, not minutes, and contention does not kill one that survives.
-Every survivor is printed with its line.  A target that names no module
-or no top-level function or class of it, or ``--jobs`` below 1, is
-refused with exit code 2 before anything runs.  Not part of tier-1.
+with ``-x``.  As many mutants run at once as there are CPUs, each worker
+in its own copy.  Failing tests kill a mutant, and so does a run that
+takes more than three times as long as the slowest of the clean runs
+made first, one per copy at once, so under the same load as the
+mutants.  A mutant that loops forever costs seconds, not minutes, and
+contention does not kill one that survives.  Every survivor is printed
+with its line.  A target that names no module or no top-level function
+or class of it is refused with exit code 2 before anything runs.  Not
+part of tier-1.
 """
 
 from __future__ import annotations
@@ -98,12 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("targets", nargs="+", metavar="MODULE[:FUNCTION]")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=0, help="mutants to draw (0: all)")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (at most the CPU count)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}")
-        return 2
-    jobs = min(args.jobs, os.cpu_count() or 1)
     drawn = []
     for target in args.targets:
         module, _, scope = target.partition(":")
@@ -116,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         drawn += [(module, source, site) for site in mutants(tree, scope or None)]
     if args.sample:
         drawn = random.Random(args.seed).sample(drawn, min(args.sample, len(drawn)))
+    jobs = os.cpu_count() or 1
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(jobs) as pool:
         copies = [Path(tmp) / f"repo{i}" for i in range(jobs)]
         for copy in copies:
