@@ -44,11 +44,6 @@ class AbGroup:
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
 
-    def is_normal_form(self) -> bool:
-        if any(t < 2 for t in self.torsion):
-            return False
-        return all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:]))
-
     def __str__(self) -> str:
         parts: list[str] = []
         if self.free_rank == 1:

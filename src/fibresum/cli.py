@@ -453,12 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p) -> None:
-        p.add_argument(
-            "--format",
-            choices=["text", "json", "structured"],
-            default="text",
-            help="output format (json and structured are synonyms)",
-        )
+        p.add_argument("--format", choices=["text", "json"], default="text", help="output format")
 
     p_compute = sub.add_parser("compute", help="run the full pipeline on a problem document")
     p_compute.add_argument("path")
@@ -495,8 +490,6 @@ def main(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) == "structured":
-        args.format = "json"
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return args.func(args, stdout, stderr)

@@ -3,19 +3,17 @@
 Everything here reduces to exact kernel/cokernel computations over Z:
 the Betti numbers of the sum, its first homology as the cokernel of the
 combined embedding-plus-gluing map, the rim-tori and split-class groups,
-the action of the gluing diffeomorphism on the first homology of the
-boundary three-manifold, and the invariants of a single complement.
+and the invariants of a single complement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import abgroups, intlat, model
 from .abgroups import AbGroup
-from .intlat import IntMatrix, as_ints
+from .intlat import IntMatrix
 from .model import BettiNumbers, FibreSumProblem, ManifoldSide
 
 __all__ = [
@@ -23,7 +21,6 @@ __all__ = [
     "SplitClass",
     "SumAnalysis",
     "analyse",
-    "phi_action_h1",
     "complement_invariants",
 ]
 
@@ -273,24 +270,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         q, r = divmod(a, b)
         a, b, s, t, s1, t1 = b, r, s1, t1, s - q * s1, t - q * t1
     return a, s, t
-
-
-def phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:
-    """Action of the gluing diffeomorphism on H_1 of the boundary, in the
-    basis (gamma_1, ..., gamma_2g, sigma): each gamma_i picks up a_i
-    meridians and the meridian reverses sign.  Images are columns: column
-    j is the image of basis element j, so gamma_i maps to column i,
-    gamma_i + a_i*sigma, and sigma to the last column, -sigma."""
-    as_ints((g,), "genus")
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
-    a = as_ints(a, "gluing vector entries")
-    if len(a) != 2 * g:
-        raise ValueError(f"expected a vector of length 2g = {2 * g}, got {len(a)}")
-    n = 2 * g + 1
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(2 * g)]
-    rows.append([*a, -1])
-    return IntMatrix.from_rows(rows, cols=n)
 
 
 def complement_invariants(side: ManifoldSide) -> ComplementInvariants:

@@ -110,11 +110,6 @@ class IntMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -122,16 +117,6 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     # -- arithmetic --------------------------------------------------------
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        out: list[int] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:

@@ -1,8 +1,8 @@
 """Shared builders for the test suite: valid sides, random problems that
 pass the forms scope gate, random unimodular matrices, the matrix helpers
 that only tests need, an exact check of a Smith form, the full
-presentation of H_1 of a sum as an oracle, and the two presentations of
-the cokernel-equivalence lemma."""
+presentation of H_1 of a sum and its Mayer-Vietoris sequence as oracles,
+and the two presentations of the cokernel-equivalence lemma."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -97,11 +98,17 @@ def identity(n: int) -> IntMatrix:
 
 
 def transpose(A: IntMatrix) -> IntMatrix:
-    return IntMatrix(A.cols, A.rows, tuple(A.entry(i, j) for j in range(A.cols) for i in range(A.rows)))
+    return IntMatrix(A.cols, A.rows, tuple(A.row(i)[j] for j in range(A.cols) for i in range(A.rows)))
 
 
 def column(A: IntMatrix, j: int) -> tuple[int, ...]:
-    return tuple(A.entry(i, j) for i in range(A.rows))
+    return tuple(A.row(i)[j] for i in range(A.rows))
+
+
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    assert A.cols == B.rows
+    columns = [column(B, j) for j in range(B.cols)]
+    return IntMatrix(A.rows, B.cols, tuple(sum(map(mul, A.row(i), c)) for i in range(A.rows) for c in columns))
 
 
 def block_diag(blocks) -> IntMatrix:
@@ -160,11 +167,11 @@ def checked_smith_form(A: IntMatrix) -> tuple[int, ...]:
     assert all(b % a == 0 for a, b in zip(diagonal[:r], diagonal[1:r]))
     V = IntMatrix.from_rows(v, cols=n)
     assert abs(V.det()) == 1
-    av = A @ V
-    assert all(av.entry(i, j) == 0 for i in range(m) for j in range(r, n))
-    assert all(av.entry(i, j) % diagonal[j] == 0 for i in range(m) for j in range(r))
+    av = matmul(A, V).to_rows()
+    assert all(av[i][j] == 0 for i in range(m) for j in range(r, n))
+    assert all(av[i][j] % diagonal[j] == 0 for i in range(m) for j in range(r))
     if r:
-        c = [[av.entry(i, j) // diagonal[j] for j in range(r)] for i in range(m)]
+        c = [[av[i][j] // diagonal[j] for j in range(r)] for i in range(m)]
         assert [int(x) for x in invariant_factors(Matrix(c))] == [1] * r
     return diagonal
 
@@ -283,6 +290,58 @@ def full_presentation_h1(problem: FibreSumProblem) -> AbGroup:
             for i, (order, images) in enumerate(generators)
         ],
         cols=len(relations) + 2 * problem.genus,
+    )
+    return cokernel_presentation(presentation)
+
+
+def _phi_action_h1(g: int, a: Sequence[int]) -> IntMatrix:
+    """Action of the gluing diffeomorphism on H_1 of the boundary, in the
+    basis (gamma_1, ..., gamma_2g, sigma): each gamma_i picks up a_i
+    meridians and the meridian reverses sign.  Images are columns: column
+    j is the image of basis element j, so gamma_i maps to column i,
+    gamma_i + a_i*sigma, and sigma to the last column, -sigma."""
+    n = 2 * g + 1
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(2 * g)]
+    rows.append([*a, -1])
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def mayer_vietoris_h1(problem: FibreSumProblem) -> AbGroup:
+    """H_1 of X = M° ∪ N°, glued along Sigma x S^1, as the cokernel of
+    H_1(boundary) -> H_1(M°) + H_1(N°), x |-> i_M(x) - i_N(phi_* x).
+
+    The generators of H_1(side°) are the side's free generators, its
+    torsion generators and its meridian (of order k).  i_side sends
+    gamma_j to column j of the side's free and torsion embedding and the
+    meridian to the side's own meridian; phi_* x is column x of
+    ``_phi_action_h1``.  Each generator of finite order adds its order
+    relation.
+    """
+    g = problem.genus
+    n = 2 * g + 1  # the boundary basis gamma_1..gamma_2g, meridian
+
+    def generators(side):
+        """(order, images of the n boundary classes) per generator."""
+        gens = [(0, row + [0]) for row in side.embedding_free.to_rows()]
+        gens += [(m, list(row) + [0]) for m, row in side.embedding_torsion]
+        gens.append((side.k, [0] * (2 * g) + [1]))
+        return gens
+
+    gens_m, gens_n = generators(problem.M), generators(problem.N)
+    phi = _phi_action_h1(g, problem.gluing.a)
+    relations = []
+    for x in range(n):
+        image = column(phi, x)
+        relations.append(
+            [row[x] for _, row in gens_m]
+            + [-sum(r * y for r, y in zip(row, image)) for _, row in gens_n]
+        )
+    orders = [order for order, _ in gens_m + gens_n]
+    relations += [
+        [order if j == i else 0 for j in range(len(orders))] for i, order in enumerate(orders) if order
+    ]
+    presentation = IntMatrix.from_rows(
+        [[rel[i] for rel in relations] for i in range(len(orders))], cols=len(relations)
     )
     return cokernel_presentation(presentation)
 

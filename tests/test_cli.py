@@ -6,13 +6,14 @@ import io
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from fibresum import cli, engine, intlat, model
 from fibresum.intlat import IntMatrix
-from helpers import make_side, random_matrix, random_unimodular, run_python
+from helpers import make_side, matmul, random_matrix, random_unimodular, run_python
 
 K3_SUM = {
     "M": {"catalog": "E", "n": 2},
@@ -89,6 +90,18 @@ def write_doc(tmp_path, doc, name="problem.json"):
     return str(path)
 
 
+def cap_document(genus, b1_m, b1_n):
+    """A valid problem whose two sides omit their embedding rows."""
+    sides = [{"name": name, "b1": b1, "b2_plus": 2, "b2_minus": 2, "K_squared": 12 - 4 * b1, "K_dot_B": 0,
+              "B_squared": 0, "genus": genus, "k": 1} for name, b1 in (("M", b1_m), ("N", b1_n))]
+    return {"M": sides[0], "N": sides[1], "gluing": {"a": [0] * (2 * genus)}}
+
+
+def cap_refusal(b1, two_g):
+    return (f"invalid input: (b1(M) + b1(N)) * (2g)^2 = {b1} * {two_g}^2 = {b1 * two_g**2} "
+            f"multiply-adds to check the kernel, more than {model.MAX_KERNEL_CHECK}\n")
+
+
 class TestCompute:
     def test_twisted_text_report(self, tmp_path):
         doc = dict(K3_SUM, gluing={"a": [1, 0]})
@@ -130,11 +143,6 @@ class TestCompute:
         assert report["forms"]["form_class"]["decomposition"] in text
         assert str(report["forms"]["canonical_class"]["sigma_coeff"]) in text
 
-    def test_structured_alias(self, tmp_path):
-        code, out, _ = run(["compute", write_doc(tmp_path, K3_SUM), "--format", "structured"])
-        assert code == 0
-        json.loads(out)
-
     def test_t_override(self, tmp_path):
         path = write_doc(tmp_path, K3_SUM)
         code, out, _ = run(["compute", path, "--format", "json", "--t", "3,0"])
@@ -149,6 +157,16 @@ class TestCompute:
         code, _, err = run(["compute", write_doc(tmp_path, K3_SUM), "--t", "1,2,3"])
         assert code == 2
         assert "length d" in err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("", "t must have length d = 2, got 0"), (" ", "t must have length d = 2, got 0")]
+        + [(flag, f"--t: expected a comma-separated integer list, got {flag!r}") for flag in ("1,x", "1,,0", "1.5")],
+        ids=["empty", "blank", "letter", "gap", "float"],
+    )
+    def test_t_override_refused(self, tmp_path, flag, message):
+        # A blank --t is the empty vector, not the default, so d = 2 refuses it.
+        assert run(["compute", write_doc(tmp_path, K3_SUM), "--t", flag]) == (2, "", f"invalid input: {message}\n")
 
     def test_t_override_replaces_wrong_length_t(self, tmp_path):
         path = write_doc(tmp_path, dict(K3_SUM, t=[1, 2, 3]))
@@ -330,6 +348,14 @@ class TestValidate:
             "N: genus = 513 implies 1026 x 1026 cells, more than 1048576\n"
         )
 
+    @pytest.mark.parametrize("command", ["validate", "compute"])
+    def test_kernel_check_over_cap_exits_2_fast(self, tmp_path, command):
+        # 3.3 KB inside every other cap, but checking up to 1024 kernel
+        # vectors against M's omitted 1024 x 1024 rows is 2^30 multiply-adds.
+        start = time.perf_counter()
+        assert run([command, write_doc(tmp_path, cap_document(512, 1024, 0))]) == (2, "", cap_refusal(1024, 1024))
+        assert time.perf_counter() - start < 1
+
     def test_t_length_checked(self, tmp_path):
         code, _, err = run(["validate", write_doc(tmp_path, dict(K3_SUM, t=[1, 2, 3]))])
         assert code == 2
@@ -413,6 +439,14 @@ class TestBatch:
         )
         assert code == 0
         assert len(json.loads(out)["items"]) == 1
+
+    @pytest.mark.parametrize(
+        "document", [{"items": [K3_SUM]}, {"problems": [K3_SUM], "count": 1}, {"problems": K3_SUM}, 5],
+        ids=["other_key", "extra_key", "problems_not_array", "scalar"],
+    )
+    def test_neither_array_nor_wrapper(self, tmp_path, document):
+        message = "invalid input: batch document: expected an array of problem documents\n"
+        assert run(["batch", write_doc(tmp_path, document)]) == (2, "", message)
 
     def test_text_output(self, tmp_path):
         docs = [K3_SUM, {"M": {"catalog": "E", "n": 2}}]
@@ -503,9 +537,15 @@ class TestLongResults:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
     def test_limit_restored(self):
+        # The limit is set here, so that a call earlier in the session that
+        # left it lifted cannot make a lifted limit read as restored.
         limit = sys.get_int_max_str_digits()
-        assert run(["catalog", "E", NINES_4300])[0] == 0
-        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(["catalog", "E", NINES_4300])[0] == 0
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestPinnedOutput:
@@ -553,8 +593,8 @@ class TestSnf:
             m = random_matrix(rng, rows, cols, rng.choice([1, 4, 9]))
             p, q = random_unimodular(rng, rows), random_unimodular(rng, cols)
             payload = self.snf(tmp_path, m.to_rows())
-            assert self.snf(tmp_path, (p @ m).to_rows()) == payload
-            moved = self.snf(tmp_path, (p @ m @ q).to_rows())
+            assert self.snf(tmp_path, matmul(p, m).to_rows()) == payload
+            moved = self.snf(tmp_path, matmul(matmul(p, m), q).to_rows())
             assert moved == dict(payload, kernel=moved["kernel"])
 
     def test_text_output(self, tmp_path):
@@ -814,3 +854,20 @@ class TestExitCodeContract:
 
     def test_snf(self, tmp_path):
         assert self.run_mutants(tmp_path, "snf", self.MATRICES, 60, "contract-snf") == {0, 2}
+
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    def test_just_over_kernel_check_cap(self, tmp_path, command):
+        # The least total b1 past the cap, split at random; each side's
+        # omitted rows stay inside MAX_IMPLIED_CELLS, which needs g >= 5.
+        rng = random.Random(f"cap-{command}")
+        for genus in sorted(rng.randint(5, 512) for _ in range(6)):
+            b1, limit = model.MAX_KERNEL_CHECK // (2 * genus) ** 2 + 1, model.MAX_IMPLIED_CELLS // (2 * genus)
+            b1_m = rng.randint(max(0, b1 - limit), min(b1, limit))
+            doc = cap_document(genus, b1_m, b1 - b1_m)
+            assert run([command, write_doc(tmp_path, doc)]) == (2, "", cap_refusal(b1, 2 * genus))
+
+    def test_at_kernel_check_cap(self):
+        # Through parse_problem only: analyse at the cap takes 0.6 to 0.9 s.
+        for genus in (8, 64, 512):
+            b1 = model.MAX_KERNEL_CHECK // (2 * genus) ** 2
+            model.parse_problem(cap_document(genus, b1 // 2, b1 - b1 // 2))

@@ -1,5 +1,5 @@
 """Kernel data, Betti numbers, first homology, rim tori, split classes,
-the boundary diffeomorphism action, and complement invariants."""
+and complement invariants."""
 
 import dataclasses
 import math
@@ -17,7 +17,6 @@ from fibresum import (
     analyse,
     complement_invariants,
     elliptic_surface,
-    phi_action_h1,
 )
 from helpers import (
     elliptic_problem,
@@ -28,7 +27,6 @@ from helpers import (
     make_side,
     random_problem_any,
     random_scope_problem,
-    transpose,
 )
 
 
@@ -63,8 +61,13 @@ class TestValidationGate:
             (lambda E2: FibreSumProblem(
                 M=make_side("S", genus=2), N=make_side("S", genus=2), gluing=GluingClass((0, 0))
             ), ["gluing.a must have length 2g = 4, got 2"]),
+            # One row past the kernel-check cap, 2^24 = 256 * 256^2, and a too short.
+            (lambda E2: FibreSumProblem(
+                M=make_side("M", genus=128, b1=200), N=make_side("N", genus=128, b1=57), gluing=GluingClass(())
+            ), ["gluing.a must have length 2g = 256, got 0", "(b1(M) + b1(N)) * (2g)^2 = 257 * 256^2 = "
+                "16842752 multiply-adds to check the kernel, more than 16777216"]),
         ],
-        ids=["side_rule", "genus_mismatch", "gluing_length", "gluing_length_g2"],
+        ids=["side_rule", "genus_mismatch", "gluing_length", "gluing_length_g2", "kernel_check_cap"],
     )
     def test_every_rule_refused(self, build, messages):
         with pytest.raises(model.DocumentError) as caught:
@@ -474,7 +477,7 @@ class TestIntegerCheckBudget:
             scans.append((what, len(values)))
             return original(values, what)
 
-        for module in (abgroups, intlat, model, engine):
+        for module in (abgroups, intlat, model):
             monkeypatch.setattr(module, "as_ints", counting)
         return scans
 
@@ -509,59 +512,6 @@ class TestIntegerCheckBudget:
         problem = model.parse_problem({"M": side, "N": side, "gluing": {"a": [0] * 20}})
         assert not [n for what, n in scans if what == "matrix entries" and n]
         assert problem.M.embedding_free.to_rows() == [[0] * 20] * 20
-
-
-class TestPhiAction:
-    def test_h1_trivial_gluing(self):
-        assert phi_action_h1(2, (0, 0, 0, 0)) == IntMatrix.from_rows(
-            [
-                [1, 0, 0, 0, 0],
-                [0, 1, 0, 0, 0],
-                [0, 0, 1, 0, 0],
-                [0, 0, 0, 1, 0],
-                [0, 0, 0, 0, -1],
-            ]
-        )
-
-    def test_h1_twisted(self):
-        assert phi_action_h1(1, (5, 0)) == IntMatrix.from_rows(
-            [[1, 0, 0], [0, 1, 0], [5, 0, -1]]
-        )
-
-    def test_h1_determinant(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            g = rng.randint(0, 4)
-            a = tuple(rng.randint(-9, 9) for _ in range(2 * g))
-            assert phi_action_h1(g, a).det() == -1
-
-    def test_pairing_reversed(self):
-        # The boundary is glued by an orientation-reversing map, so the
-        # intersection pairing J between H_2 and H_1 changes sign.  On H_2,
-        # in the basis (Gamma_1, ..., Gamma_2g, Sigma) dual to the H_1
-        # basis, the rim classes reverse sign and Sigma picks up -a_i rim
-        # classes; images are columns, as for H_1.
-        rng = random.Random(9)
-        for _ in range(20):
-            g = rng.randint(0, 4)
-            a = tuple(rng.randint(-9, 9) for _ in range(2 * g))
-            n = 2 * g + 1
-            h2 = IntMatrix.from_rows(
-                [[-1 if i == j else 0 for j in range(2 * g)] + [-a[i]] for i in range(2 * g)]
-                + [[0] * (2 * g) + [1]],
-                cols=n,
-            )
-            pairing = identity(n)
-            lhs = transpose(h2) @ pairing @ phi_action_h1(g, a)
-            assert lhs == IntMatrix(n, n, tuple(-x for x in pairing.entries))
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError, match=r"^expected a vector of length 2g = 4, got 3$"):
-            phi_action_h1(2, (1, 2, 3))
-
-    def test_negative_genus_refused(self):
-        with pytest.raises(ValueError, match=r"^genus must be nonnegative, got -1$"):
-            phi_action_h1(-1, ())
 
 
 class TestComplementInvariants:
@@ -602,62 +552,6 @@ class TestComplementInvariants:
         assert inv.h1 == AbGroup(1, (6,))
         assert inv.h1_cohom_rank == 1
         assert inv.h2_torsion == (6,)
-
-
-class TestComplementGate:
-    """A call of ``complement_invariants`` on a side that breaks a rule is
-    refused with the rule's messages, one side per kind of rule.  The
-    refusal now comes from the side's constructor, before the call runs,
-    so no such side reaches the function."""
-
-    SIDE = make_side("S", genus=1)
-    NUCLEUS = "b2_plus >= 1 and b2_minus >= 1 required (the nucleus block [[B^2,1],[1,0]] has signature zero)"
-
-    @pytest.mark.parametrize(
-        "build, messages",
-        [
-            (lambda S: dataclasses.replace(S, b1=-1), [
-                "b1 must be nonnegative",
-                "K_squared != 2e+3*sigma (needs 16, got 12)",
-                "embedding_free must be -1 x 2, got 0 x 2",
-            ]),
-            (lambda S: dataclasses.replace(S, genus=-1),
-             ["genus must be nonnegative", "embedding_free must be 0 x -2, got 0 x 2"]),
-            (lambda S: make_side("S", genus=513), ["genus = 513 implies 1026 x 1026 cells, more than 1048576"]),
-            (lambda S: make_side("S", genus=1, k=0), ["k must be a positive integer"]),
-            (lambda S: make_side("S", genus=1, b2_plus=1, b2_minus=0), [
-                "b2 >= 2 required (the surface and its dual section must exist), got b2 = 1", NUCLEUS,
-            ]),
-            (lambda S: make_side("S", genus=1, b2_plus=0, b2_minus=3), [NUCLEUS]),
-            (lambda S: dataclasses.replace(S, K_squared=S.K_squared + 1),
-             ["K_squared != 2e+3*sigma (needs 12, got 13)"]),
-            (lambda S: make_side("S", genus=1, K_dot_B=1),
-             ["K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]),
-            (lambda S: make_side("S", genus=1, h1_torsion=(4, 2)),
-             ["h1_torsion must be a divisibility chain of factors >= 2, got [4, 2]"]),
-            (lambda S: dataclasses.replace(S, b1=3, K_squared=S.K_squared - 12),
-             ["embedding_free must be 3 x 2, got 0 x 2"]),
-            (lambda S: dataclasses.replace(S, h1_torsion=(2,)),
-             ["embedding_torsion moduli must match h1_torsion exactly (got [] vs [2])"]),
-            (lambda S: make_side("S", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0, 0)),)),
-             ["embedding_torsion[0].row must have length 2, got 3"]),
-            (lambda S: make_side("S", genus=1, p_parity="mixed"),
-             ["p_parity must be one of ('even', 'odd', 'unknown'), got 'mixed'"]),
-            (lambda S: make_side("S", genus=1, b2_plus=3, p_parity="even"),
-             ["an even p_parity needs sigma = 0 (mod 8), got sigma = 1"]),
-            (lambda S: make_side("S", genus=1, kbar_divisibility=-1),
-             ["kbar_divisibility must be nonnegative or unknown"]),
-        ],
-        ids=[
-            "b1", "genus", "genus_cap", "k", "b2", "b2_signs", "K_squared", "characteristic",
-            "torsion_chain", "embedding_shape", "torsion_moduli", "torsion_row", "parity",
-            "even_signature", "kbar",
-        ],
-    )
-    def test_every_side_rule_refused(self, build, messages):
-        with pytest.raises(model.DocumentError) as caught:
-            complement_invariants(build(self.SIDE))
-        assert caught.value.messages == messages
 
 
 class TestStructuralProperties:

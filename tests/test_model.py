@@ -17,7 +17,6 @@ from fibresum import (
     elliptic_surface,
     normal_form,
     parse_problem,
-    phi_action_h1,
     problem_to_dict,
 )
 from fibresum import model
@@ -31,9 +30,61 @@ def refused(build) -> list[str]:
     return caught.value.messages
 
 
-class TestValidateSide:
+class TestSideRules:
     """A side that breaks a rule cannot be built: the constructor, also
-    under ``dataclasses.replace``, refuses it with every message."""
+    under ``dataclasses.replace``, refuses it with every message, one
+    side per kind of rule."""
+
+    SIDE = make_side("S", genus=1)
+    NUCLEUS = "b2_plus >= 1 and b2_minus >= 1 required (the nucleus block [[B^2,1],[1,0]] has signature zero)"
+
+    @pytest.mark.parametrize(
+        "build, messages",
+        [
+            (lambda S: dataclasses.replace(S, b1=-1), [
+                "b1 must be nonnegative",
+                "K_squared != 2e+3*sigma (needs 16, got 12)",
+                "embedding_free must be -1 x 2, got 0 x 2",
+            ]),
+            (lambda S: dataclasses.replace(S, genus=-1),
+             ["genus must be nonnegative", "embedding_free must be 0 x -2, got 0 x 2"]),
+            (lambda S: make_side("S", genus=513), ["genus = 513 implies 1026 x 1026 cells, more than 1048576"]),
+            (lambda S: make_side("S", genus=1, k=0), ["k must be a positive integer"]),
+            (lambda S: make_side("S", genus=1, b2_plus=1, b2_minus=0), [
+                "b2 >= 2 required (the surface and its dual section must exist), got b2 = 1", NUCLEUS,
+            ]),
+            (lambda S: make_side("S", genus=1, b2_plus=0, b2_minus=3), [NUCLEUS]),
+            (lambda S: dataclasses.replace(S, K_squared=S.K_squared + 1),
+             ["K_squared != 2e+3*sigma (needs 12, got 13)"]),
+            (lambda S: make_side("S", genus=1, K_dot_B=1),
+             ["K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]),
+            (lambda S: make_side("S", genus=1, h1_torsion=(4, 2)),
+             ["h1_torsion must be a divisibility chain of factors >= 2, got [4, 2]"]),
+            (lambda S: dataclasses.replace(S, b1=3, K_squared=S.K_squared - 12),
+             ["embedding_free must be 3 x 2, got 0 x 2"]),
+            (lambda S: dataclasses.replace(S, h1_torsion=(2,)),
+             ["embedding_torsion moduli must match h1_torsion exactly (got [] vs [2])"]),
+            (lambda S: make_side("S", genus=1, h1_torsion=(2,), embedding_torsion=((2, (0, 0, 0)),)),
+             ["embedding_torsion[0].row must have length 2, got 3"]),
+            (lambda S: make_side("S", genus=1, p_parity="mixed"),
+             ["p_parity must be one of ('even', 'odd', 'unknown'), got 'mixed'"]),
+            (lambda S: make_side("S", genus=1, b2_plus=3, p_parity="even"),
+             ["an even p_parity needs sigma = 0 (mod 8), got sigma = 1"]),
+            (lambda S: make_side("S", genus=1, kbar_divisibility=-1),
+             ["kbar_divisibility must be nonnegative or unknown"]),
+            # K.B - B^2 odd would land on the nucleus of a sum; the rule
+            # holds whatever the side's p_parity.
+            (lambda S: make_side("P", genus=1, K_dot_B=1, p_parity="odd"),
+             ["K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]),
+        ],
+        ids=[
+            "b1", "genus", "genus_cap", "k", "b2", "b2_signs", "K_squared", "characteristic",
+            "torsion_chain", "embedding_shape", "torsion_moduli", "torsion_row", "parity",
+            "even_signature", "kbar", "nucleus_odd",
+        ],
+    )
+    def test_rule_refused(self, build, messages):
+        assert refused(lambda: build(self.SIDE)) == messages
 
     def test_catalog_side_valid(self):
         elliptic_surface(2)
@@ -42,34 +93,19 @@ class TestValidateSide:
         violations = refused(lambda: dataclasses.replace(elliptic_surface(2), K_squared=1))
         assert any("K_squared" in v and "needs 0" in v for v in violations)
 
-    def test_b2_too_small(self):
-        assert any("b2 >= 2" in v for v in refused(lambda: make_side("S", genus=1, b2_plus=1, b2_minus=0)))
-
     def test_k_zero_flagged(self):
         # k = 0 is the boundary of the rule, and k = 1 the first value past it.
         assert refused(lambda: make_side("S", genus=1, k=0)) == ["k must be a positive integer"]
         make_side("S", genus=1, k=1)
 
-    def test_negative_b1_and_genus_flagged(self):
-        # -1 is the first value past each rule's boundary.
-        side = make_side("S", genus=1)
-        assert "b1 must be nonnegative" in refused(lambda: dataclasses.replace(side, b1=-1))
-        assert "genus must be nonnegative" in refused(lambda: dataclasses.replace(side, genus=-1))
-
     def test_b2_plus_zero_flagged(self):
         # b2 = b2_minus >= 2 passes the b2 rule, so only the nucleus rule
         # sees b2_plus = 0.
         for b2_minus in (2, 3):
-            assert refused(lambda: make_side("S", genus=1, b2_plus=0, b2_minus=b2_minus)) == [
-                "b2_plus >= 1 and b2_minus >= 1 required "
-                "(the nucleus block [[B^2,1],[1,0]] has signature zero)"
-            ]
+            assert refused(lambda: make_side("S", genus=1, b2_plus=0, b2_minus=b2_minus)) == [self.NUCLEUS]
 
     def test_definite_side_rejected(self):
         assert any("b2_minus >= 1" in v for v in refused(lambda: make_side("S", genus=0, b2_plus=3, b2_minus=0)))
-
-    def test_characteristic_parity(self):
-        assert any("mod 2" in v for v in refused(lambda: make_side("S", genus=1, K_dot_B=1, B_squared=0)))
 
     def test_torsion_chain_checked(self):
         assert any("divisibility chain" in v for v in refused(lambda: make_side("S", genus=1, h1_torsion=(2, 3))))
@@ -207,6 +243,10 @@ class TestParseProblem:
         with pytest.raises(DocumentError) as caught:
             parse_problem(document)
         assert caught.value.messages == ["top level: expected an object"]
+
+    def test_unknown_top_level_field(self):
+        document = dict(CATALOG_DOC, extra=1, M2=CATALOG_DOC["M"])
+        assert refused(lambda: parse_problem(document)) == ["top level: unknown field(s) ['M2', 'extra']"]
 
     def test_implied_cells_capped(self, monkeypatch):
         side = {"name": "S", "b1": 4, "b2_plus": 2, "b2_minus": 2, "K_squared": 8,
@@ -520,8 +560,6 @@ HAND_BUILT = {
     "embedding_torsion row": lambda x: dataclasses.replace(E2, h1_torsion=(2,), embedding_torsion=((2, (x, 0)),)),
     "GluingClass.a": lambda x: GluingClass((x, 0)),
     "FibreSumProblem.t": lambda x: FibreSumProblem(M=E2, N=E2, gluing=GluingClass((1, 0)), t=(x, 0)),
-    "phi_action_h1": lambda x: phi_action_h1(1, (x, 0)),
-    "phi_action_h1 genus": lambda x: phi_action_h1(x, (0,) * 4),
     "IntMatrix rows": lambda x: IntMatrix(x, 1, (0, 0)),
     "IntMatrix cols": lambda x: IntMatrix(1, x, (0, 0)),
     "IntMatrix.zeros": lambda x: IntMatrix.zeros(x, 2),

@@ -1,67 +1,20 @@
 """Oracles for how ``analyse`` assembles the sum from its sides.
 
-The Mayer-Vietoris oracle computes H_1 of the sum from the two
-complements and the gluing map on the boundary, without the presentation
-of H_1 that ``analyse`` reads off the Smith form of S.  The metamorphic suite changes the bases of
-H_1(M), H_1(N) and H_1(Sigma) and checks that no invariant of the report
-moves.
+The Mayer-Vietoris oracle of ``helpers`` computes H_1 of the sum from the
+two complements and the gluing map on the boundary, without the
+presentation of H_1 that ``analyse`` reads off the Smith form of S; the
+gluing map's action on H_1 of the boundary is tested here too.  The
+metamorphic suite changes the bases of H_1(M), H_1(N) and H_1(Sigma) and
+checks that no invariant of the report moves.
 """
 
 import dataclasses
 import random
 from collections import Counter
 
-from fibresum import (
-    FibreSumProblem,
-    GluingClass,
-    IntMatrix,
-    analyse,
-    cli,
-    cokernel_presentation,
-    intlat,
-    phi_action_h1,
-)
-from helpers import column, h1_case, make_side, random_problem_any, random_scope_problem, random_unimodular
-
-
-def mayer_vietoris_h1(problem: FibreSumProblem):
-    """H_1 of X = M° ∪ N°, glued along Sigma x S^1, as the cokernel of
-    H_1(boundary) -> H_1(M°) + H_1(N°), x |-> i_M(x) - i_N(phi_* x).
-
-    The generators of H_1(side°) are the side's free generators, its
-    torsion generators and its meridian (of order k).  i_side sends
-    gamma_j to column j of the side's free and torsion embedding and the
-    meridian to the side's own meridian; phi_* x is column x of
-    ``phi_action_h1``.  Each generator of finite order adds its order
-    relation.
-    """
-    g = problem.genus
-    n = 2 * g + 1  # the boundary basis gamma_1..gamma_2g, meridian
-
-    def generators(side):
-        """(order, images of the n boundary classes) per generator."""
-        gens = [(0, row + [0]) for row in side.embedding_free.to_rows()]
-        gens += [(m, list(row) + [0]) for m, row in side.embedding_torsion]
-        gens.append((side.k, [0] * (2 * g) + [1]))
-        return gens
-
-    gens_m, gens_n = generators(problem.M), generators(problem.N)
-    phi = phi_action_h1(g, problem.gluing.a)
-    relations = []
-    for x in range(n):
-        image = column(phi, x)
-        relations.append(
-            [row[x] for _, row in gens_m]
-            + [-sum(r * y for r, y in zip(row, image)) for _, row in gens_n]
-        )
-    orders = [order for order, _ in gens_m + gens_n]
-    relations += [
-        [order if j == i else 0 for j in range(len(orders))] for i, order in enumerate(orders) if order
-    ]
-    presentation = IntMatrix.from_rows(
-        [[rel[i] for rel in relations] for i in range(len(orders))], cols=len(relations)
-    )
-    return cokernel_presentation(presentation)
+from fibresum import FibreSumProblem, GluingClass, IntMatrix, analyse, cli, intlat
+from helpers import _phi_action_h1, h1_case, identity, make_side, matmul, mayer_vietoris_h1, transpose
+from helpers import random_problem_any, random_scope_problem, random_unimodular
 
 
 class TestMayerVietoris:
@@ -87,6 +40,43 @@ class TestMayerVietoris:
             assert analyse(problem).h1.torsion == torsion
 
 
+class TestPhiAction:
+    def test_h1_trivial_gluing(self):
+        assert _phi_action_h1(2, (0, 0, 0, 0)) == IntMatrix.from_rows(
+            [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, -1]]
+        )
+
+    def test_h1_twisted(self):
+        assert _phi_action_h1(1, (5, 0)) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [5, 0, -1]])
+
+    def test_h1_determinant(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            g = rng.randint(0, 4)
+            a = tuple(rng.randint(-9, 9) for _ in range(2 * g))
+            assert _phi_action_h1(g, a).det() == -1
+
+    def test_pairing_reversed(self):
+        # The boundary is glued by an orientation-reversing map, so the
+        # intersection pairing J between H_2 and H_1 changes sign.  On H_2,
+        # in the basis (Gamma_1, ..., Gamma_2g, Sigma) dual to the H_1
+        # basis, the rim classes reverse sign and Sigma picks up -a_i rim
+        # classes; images are columns, as for H_1.
+        rng = random.Random(9)
+        for _ in range(20):
+            g = rng.randint(0, 4)
+            a = tuple(rng.randint(-9, 9) for _ in range(2 * g))
+            n = 2 * g + 1
+            h2 = IntMatrix.from_rows(
+                [[-1 if i == j else 0 for j in range(2 * g)] + [-a[i]] for i in range(2 * g)]
+                + [[0] * (2 * g) + [1]],
+                cols=n,
+            )
+            pairing = identity(n)
+            lhs = matmul(matmul(transpose(h2), pairing), _phi_action_h1(g, a))
+            assert lhs == IntMatrix(n, n, tuple(-x for x in pairing.entries))
+
+
 def change_basis(problem: FibreSumProblem, rng: random.Random) -> FibreSumProblem:
     """The same sum in new bases U_M, U_N of H_1(M), H_1(N) and P of
     H_1(Sigma): S_side -> U_side S_side P, each torsion row r -> r P mod
@@ -96,13 +86,13 @@ def change_basis(problem: FibreSumProblem, rng: random.Random) -> FibreSumProble
 
     def side(s):
         torsion = tuple(
-            (m, tuple(x % m for x in (IntMatrix(1, two_g, row) @ p).entries))
+            (m, tuple(x % m for x in matmul(IntMatrix(1, two_g, row), p).entries))
             for m, row in s.embedding_torsion
         )
-        free = random_unimodular(rng, s.b1) @ s.embedding_free @ p
+        free = matmul(matmul(random_unimodular(rng, s.b1), s.embedding_free), p)
         return dataclasses.replace(s, embedding_free=free, embedding_torsion=torsion)
 
-    a = (IntMatrix(1, two_g, problem.gluing.a) @ p).entries
+    a = matmul(IntMatrix(1, two_g, problem.gluing.a), p).entries
     return FibreSumProblem(M=side(problem.M), N=side(problem.N), gluing=GluingClass(a))
 
 
