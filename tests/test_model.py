@@ -72,15 +72,11 @@ class TestSideRules:
              ["an even p_parity needs sigma = 0 (mod 8), got sigma = 1"]),
             (lambda S: make_side("S", genus=1, kbar_divisibility=-1),
              ["kbar_divisibility must be nonnegative or unknown"]),
-            # K.B - B^2 odd would land on the nucleus of a sum; the rule
-            # holds whatever the side's p_parity.
-            (lambda S: make_side("P", genus=1, K_dot_B=1, p_parity="odd"),
-             ["K_dot_B = B_squared (mod 2) required since K is characteristic (got 1 vs 0)"]),
         ],
         ids=[
             "b1", "genus", "genus_cap", "k", "b2", "b2_signs", "K_squared", "characteristic",
             "torsion_chain", "embedding_shape", "torsion_moduli", "torsion_row", "parity",
-            "even_signature", "kbar", "nucleus_odd",
+            "even_signature", "kbar",
         ],
     )
     def test_rule_refused(self, build, messages):
@@ -93,10 +89,19 @@ class TestSideRules:
         violations = refused(lambda: dataclasses.replace(elliptic_surface(2), K_squared=1))
         assert any("K_squared" in v and "needs 0" in v for v in violations)
 
+    def test_b2_too_small(self):
+        assert any("b2 >= 2" in v for v in refused(lambda: make_side("S", genus=1, b2_plus=1, b2_minus=0)))
+
     def test_k_zero_flagged(self):
         # k = 0 is the boundary of the rule, and k = 1 the first value past it.
         assert refused(lambda: make_side("S", genus=1, k=0)) == ["k must be a positive integer"]
         make_side("S", genus=1, k=1)
+
+    def test_negative_b1_and_genus_flagged(self):
+        # -1 is the first value past each rule's boundary.
+        side = make_side("S", genus=1)
+        assert "b1 must be nonnegative" in refused(lambda: dataclasses.replace(side, b1=-1))
+        assert "genus must be nonnegative" in refused(lambda: dataclasses.replace(side, genus=-1))
 
     def test_b2_plus_zero_flagged(self):
         # b2 = b2_minus >= 2 passes the b2 rule, so only the nucleus rule
@@ -106,6 +111,9 @@ class TestSideRules:
 
     def test_definite_side_rejected(self):
         assert any("b2_minus >= 1" in v for v in refused(lambda: make_side("S", genus=0, b2_plus=3, b2_minus=0)))
+
+    def test_characteristic_parity(self):
+        assert any("mod 2" in v for v in refused(lambda: make_side("S", genus=1, K_dot_B=1, B_squared=0)))
 
     def test_torsion_chain_checked(self):
         assert any("divisibility chain" in v for v in refused(lambda: make_side("S", genus=1, h1_torsion=(2, 3))))
